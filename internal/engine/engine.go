@@ -403,17 +403,6 @@ func (e *Engine) Rel(name string) (*relation.Relation, error) {
 	return v.Rel, nil
 }
 
-// RelAnalyzed materializes the named table and reports whether its
-// optimizer statistics are current, both from the same read view — the
-// resolution step of the SQL executor's FROM chain.
-func (e *Engine) RelAnalyzed(name string) (*relation.Relation, bool, error) {
-	v, err := e.viewOf(name)
-	if err != nil {
-		return nil, false, err
-	}
-	return v.Rel, v.Analyzed, nil
-}
-
 // EnsureBase returns the named base table, loading it from gen exactly once
 // even when many sessions race on the first use — the check-then-load made
 // atomic under the catalog's named lock. gen is only invoked by the loading
@@ -501,6 +490,14 @@ func (e *Engine) ensureCSR(v *catalog.View, srcCol, dstCol, wCol int) (*relation
 	return csr, hit, nil
 }
 
+// csrPeeker is the one thing the CSR cost rule asks of its table handle: is
+// a CSR on this column triple already paid for. A pinned *catalog.View (the
+// executor's read handle) and a *catalog.Table (the planner's, which must
+// not read the table) both answer it without building anything.
+type csrPeeker interface {
+	CSR(srcCol, dstCol, wCol int) *relation.CSR
+}
+
 // csrUsable is the kernel chooser's cost rule for the CSR access path: the
 // build side must be an edge-shaped table whose CSR is affordable — a base
 // table or an analyzed one (stable across the recursion, so one build
@@ -509,73 +506,92 @@ func (e *Engine) ensureCSR(v *catalog.View, srcCol, dstCol, wCol int) (*relation
 // cost is free). An unanalyzed temp rewritten every iteration (e.g.
 // Floyd-Warshall's working matrix) fails every arm and keeps the hash path:
 // a CSR built per iteration would cost more than the probes it saves.
-func (e *Engine) csrUsable(v *catalog.View, srcCol, dstCol, wCol int) bool {
+func (e *Engine) csrUsable(temp, analyzed bool, t csrPeeker, srcCol, dstCol, wCol int) bool {
 	if e.DisableFusion || e.DisableCSR {
 		return false
 	}
-	return !v.Temp || v.Analyzed || v.CSR(srcCol, dstCol, wCol) != nil
+	return !temp || analyzed || t.CSR(srcCol, dstCol, wCol) != nil
 }
 
-// BuildSideCSR serves the named table's cached CSR on the single join
-// column for executors that join over materialized relations (the SQL
-// executor's FROM chain), under the same cost rule as the engine's own
-// joins. Returns nil — callers fall back to BuildSideHash — when the key is
-// not a single column, the CSR is not affordable, or the access path is
-// disabled.
-func (e *Engine) BuildSideCSR(name string, cols []int) *relation.CSR {
-	if len(cols) != 1 {
-		return nil
+// AccessPath is how a hash join (or a multiway-join atom) reaches the rows
+// of a catalog table on its build side.
+type AccessPath uint8
+
+const (
+	// FreshBuild builds a hash index (or trie) inside the operator.
+	FreshBuild AccessPath = iota
+	// CachedHash probes the table's version-keyed hash index.
+	CachedHash
+	// CachedCSR reads the table's CSR adjacency index: no build at all, one
+	// contiguous row block per probe.
+	CachedCSR
+)
+
+// buildSide is the engine's one build-side rule, for its own joins and the
+// SQL planner alike: a covering CSR on a single-column key when affordable
+// (csrUsable), else the cached hash index; with fusion disabled (and with it
+// the index caches) a fresh build per join. dstCol is -1 for binary joins;
+// a multiway-join atom passes the (src, dst) shape it needs.
+func (e *Engine) buildSide(temp, analyzed bool, t csrPeeker, keyCols []int, dstCol int) AccessPath {
+	switch {
+	case e.DisableFusion:
+		return FreshBuild
+	case len(keyCols) == 1 && e.csrUsable(temp, analyzed, t, keyCols[0], dstCol, -1):
+		return CachedCSR
+	}
+	return CachedHash
+}
+
+// openBuildSide serves the structure buildSide chose from a read view,
+// charging the build or the cache hit to the counters.
+func (e *Engine) openBuildSide(v *catalog.View, path AccessPath, keyCols []int, dstCol int) (csr *relation.CSR, idx *relation.HashIndex, hit bool, err error) {
+	switch path {
+	case CachedCSR:
+		csr, hit, err = e.ensureCSR(v, keyCols[0], dstCol, -1)
+	case CachedHash:
+		idx, hit, err = e.ensureHashIndex(v, keyCols)
+	}
+	return csr, idx, hit, err
+}
+
+// ChooseBuildSide applies the build-side rule to a table from its catalog
+// metadata alone — nothing is read, built, or charged — for planners that
+// join over materialized relations rather than catalog tables (the SQL
+// executor's FROM chain).
+func (e *Engine) ChooseBuildSide(t *catalog.Table, keyCols []int, dstCol int) AccessPath {
+	return e.buildSide(t.Temp, t.Analyzed(), t, keyCols, dstCol)
+}
+
+// OpenBuildSide serves what ChooseBuildSide chose, from the statement's read
+// view of the named table: at most one of the two results is non-nil, and
+// both are nil — the join builds fresh — for FreshBuild or when the table
+// is gone.
+func (e *Engine) OpenBuildSide(name string, path AccessPath, keyCols []int, dstCol int) (*relation.CSR, *relation.HashIndex) {
+	if path == FreshBuild {
+		return nil, nil
 	}
 	v, err := e.viewOf(name)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	if !e.csrUsable(v, cols[0], -1, -1) {
-		return nil
-	}
-	csr, _, err := e.ensureCSR(v, cols[0], -1, -1)
+	csr, idx, _, err := e.openBuildSide(v, path, keyCols, dstCol)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return csr
-}
-
-// BuildSideHash serves the named table's cached build-side hash index on
-// cols for executors that join over materialized relations rather than
-// catalog tables (the SQL executor's FROM chain). The build or hit is
-// charged to the counters like any other index access. Returns nil when the
-// table is unknown or fusion (and with it the index cache) is disabled —
-// callers fall back to a fresh per-join build.
-func (e *Engine) BuildSideHash(name string, cols []int) *relation.HashIndex {
-	if e.DisableFusion {
-		return nil
-	}
-	v, err := e.viewOf(name)
-	if err != nil {
-		return nil
-	}
-	idx, _, err := e.ensureHashIndex(v, cols)
-	if err != nil {
-		return nil
-	}
-	return idx
+	return csr, idx
 }
 
 // joinSpec resolves the physical algorithm and the pre-built indexes for an
 // equi-join between two tables: sorted indexes for
-// PostgreSQL-with-temp-indexes, and the cached build-side hash index for
-// the hash-join profiles (built once per table version, hit thereafter).
+// PostgreSQL-with-temp-indexes, and for the hash-join profiles the cached
+// build-side structure buildSide picks (built once per table version, hit
+// thereafter; over a CSR, csrJoin stamps the span's Algo when it runs).
 // sp, when non-nil, is attached to the spec so the join loops record their
 // phase timings and index provenance into it.
 func (e *Engine) joinSpec(a, b *catalog.View, aCols, bCols []int, sp *obs.Span) (ra.EquiJoinSpec, error) {
 	spec := ra.EquiJoinSpec{LeftCols: aCols, RightCols: bCols, Gov: e.gov, Span: sp}
-	if a.Analyzed && b.Analyzed {
-		spec.Algo = e.Prof.BaseJoin
-	} else {
-		spec.Algo = e.Prof.TempJoin
-	}
-	if spec.Algo == ra.SortMergeJoin && e.Prof.UseTempIndexes {
-		spec.Algo = ra.IndexMergeJoin
+	spec.Algo = e.Prof.JoinAlgo(a.Analyzed && b.Analyzed)
+	if spec.Algo == ra.IndexMergeJoin {
 		li, err := e.ensureSortedIndex(a, aCols)
 		if err != nil {
 			return spec, err
@@ -586,27 +602,15 @@ func (e *Engine) joinSpec(a, b *catalog.View, aCols, bCols []int, sp *obs.Span) 
 		}
 		spec.LeftIdx, spec.RightIdx = li, ri
 	}
-	if spec.Algo == ra.HashJoin && !e.DisableFusion {
-		if len(bCols) == 1 && e.csrUsable(b, bCols[0], -1, -1) {
-			// CSR access path: no hash build at all; csrJoin stamps the
-			// span's Algo when it runs.
-			csr, hit, err := e.ensureCSR(b, bCols[0], -1, -1)
-			if err != nil {
-				return spec, err
-			}
-			spec.RightCSR = csr
-			if sp != nil {
-				sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
-			}
-		} else {
-			ri, hit, err := e.ensureHashIndex(b, bCols)
-			if err != nil {
-				return spec, err
-			}
-			spec.RightHash = ri
-			if sp != nil {
-				sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
-			}
+	if spec.Algo == ra.HashJoin {
+		path := e.buildSide(b.Temp, b.Analyzed, b, bCols, -1)
+		csr, idx, hit, err := e.openBuildSide(b, path, bCols, -1)
+		if err != nil {
+			return spec, err
+		}
+		spec.RightCSR, spec.RightHash = csr, idx
+		if sp != nil && path != FreshBuild {
+			sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
 		}
 	}
 	if sp != nil {
@@ -707,7 +711,7 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 		var out *relation.Relation
 		var hit bool
 		var algo string
-		if e.csrUsable(av, aJoin, aKeep, ac.W) {
+		if e.csrUsable(av.Temp, av.Analyzed, av, aJoin, aKeep, ac.W) {
 			// CSR access path: one structure carries the adjacency, the
 			// group dictionary (Dst), and the weight column.
 			var csr *relation.CSR
@@ -793,7 +797,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 		var out *relation.Relation
 		var hit bool
 		var algo string
-		if e.csrUsable(bldView, bldJoin, -1, bldW) {
+		if e.csrUsable(bldView.Temp, bldView.Analyzed, bldView, bldJoin, -1, bldW) {
 			var csr *relation.CSR
 			csr, hit, err = e.ensureCSR(bldView, bldJoin, -1, bldW)
 			if err != nil {
@@ -845,13 +849,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 // the PostgreSQL-like profile keep the materializing path so the paper's
 // plan-choice experiments (Fig. 10) still measure what they measured.
 func (e *Engine) fusible(a, b *catalog.View) bool {
-	if e.DisableFusion {
-		return false
-	}
-	if a.Analyzed && b.Analyzed {
-		return e.Prof.BaseJoin == ra.HashJoin
-	}
-	return e.Prof.TempJoin == ra.HashJoin
+	return !e.DisableFusion && e.Prof.JoinAlgo(a.Analyzed && b.Analyzed) == ra.HashJoin
 }
 
 // AntiJoin computes r ▷ s between two tables with the chosen SQL
@@ -1105,28 +1103,6 @@ func (e *Engine) CountWCOJ(builds, probes int64) {
 	obs.Global.Counter("engine.wcoj_joins").Inc()
 	obs.Global.Counter("engine.wcoj_builds").Add(builds)
 	obs.Global.Counter("engine.wcoj_probes").Add(probes)
-}
-
-// WCOJEdgeCSR serves the named table's cached (srcCol, dstCol) CSR as the
-// sorted backing for a binary atom of the worst-case-optimal join, under
-// the same cost rule as the binary joins' build-side CSR (csrUsable) and
-// the same version-keyed serving rules (shared cache at the pinned
-// snapshot version, view-private build afterwards). Returns nil — the
-// operator falls back to a per-execution trie build — when the CSR is not
-// affordable or the access path is disabled.
-func (e *Engine) WCOJEdgeCSR(name string, srcCol, dstCol int) *relation.CSR {
-	v, err := e.viewOf(name)
-	if err != nil {
-		return nil
-	}
-	if !e.csrUsable(v, srcCol, dstCol, -1) {
-		return nil
-	}
-	csr, _, err := e.ensureCSR(v, srcCol, dstCol, -1)
-	if err != nil {
-		return nil
-	}
-	return csr
 }
 
 // String describes the engine.

@@ -36,6 +36,20 @@ type Profile struct {
 	Features FeatureMatrix
 }
 
+// JoinAlgo is the profile's plan choice for an equi-join: BaseJoin when
+// every input has current statistics, else TempJoin — upgraded to the
+// index-merge join when the profile builds temp-table indexes.
+func (p Profile) JoinAlgo(allAnalyzed bool) ra.JoinAlgo {
+	algo := p.TempJoin
+	if allAnalyzed {
+		algo = p.BaseJoin
+	}
+	if algo == ra.SortMergeJoin && p.UseTempIndexes {
+		return ra.IndexMergeJoin
+	}
+	return algo
+}
+
 // FeatureMatrix records which recursive-WITH features a system supports —
 // the content of the paper's Table 1. Values: "yes", "no", "n/a".
 type FeatureMatrix struct {

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/schema"
-	"repro/internal/value"
 )
 
 // Exec evaluates SELECT statements against an engine's catalog. Override
@@ -23,14 +21,9 @@ type Exec struct {
 
 	// Delta marks Override entries that bind a semi-naive Δ frontier in
 	// place of the full recursive relation. It changes nothing about
-	// resolution — only the scan label in analyzed plans, so EXPLAIN
-	// ANALYZE shows which scans read the frontier.
+	// resolution — only the scan label, so EXPLAIN shows which scans read
+	// the frontier.
 	Delta map[string]bool
-
-	// analyze makes the executor build an annotated plan tree (actual rows
-	// and per-node wall time) alongside the result — the EXPLAIN ANALYZE
-	// mode. Off (the default) no node is allocated and no clock is read.
-	analyze bool
 }
 
 // NewExec returns an executor over eng.
@@ -40,195 +33,324 @@ func NewExec(eng *engine.Engine) *Exec {
 
 // Run evaluates a (possibly compound) statement.
 func (x *Exec) Run(s *SelectStmt) (*relation.Relation, error) {
-	r, _, err := x.run(s)
+	p, err := x.plan(s)
+	if err != nil {
+		return nil, err
+	}
+	r, _, err := x.execute(p, false)
 	return r, err
 }
 
 // RunAnalyzed evaluates the statement and also returns the executed plan
-// tree annotated with actual output rows and per-node wall time.
+// tree annotated with actual output rows and per-node wall time — the
+// EXPLAIN ANALYZE mode.
 func (x *Exec) RunAnalyzed(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) {
-	prev := x.analyze
-	x.analyze = true
-	defer func() { x.analyze = prev }()
-	return x.run(s)
-}
-
-func (x *Exec) run(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) {
-	left, plan, err := x.runOne(s)
+	p, err := x.plan(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	for cur := s; cur.Next != nil; cur = cur.Next {
-		var t0 time.Time
-		if x.analyze {
-			t0 = time.Now()
-		}
-		right, rplan, err := x.runOne(cur.Next)
+	return x.execute(p, true)
+}
+
+// execute runs the plan bottom-up and is, with the kernel helpers it calls,
+// the only code that invokes relational operators. With analyze it also
+// builds the annotated tree: one obs node per plan node under the node's
+// own label plus whatever only the run could tell, timed around the node's
+// own work (inputs excluded). Off, no obs node is allocated and the clock
+// is read only for a join whose span an attached observer wants.
+func (x *Exec) execute(n *planNode, analyze bool) (*relation.Relation, *obs.PlanNode, error) {
+	var buf [3]*relation.Relation
+	ins := buf[:0]
+	var kids []*obs.PlanNode
+	for _, k := range n.kids {
+		r, kp, err := x.execute(k, analyze)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !left.Sch.UnionCompatible(right.Sch) {
-			return nil, nil, fmt.Errorf("sql: set operation arity mismatch (%d vs %d)", left.Sch.Arity(), right.Sch.Arity())
+		ins = append(ins, r)
+		if analyze {
+			kids = append(kids, kp)
 		}
-		switch cur.SetOp {
+	}
+	var t0 time.Time
+	if analyze || (n.op == opEquiJoin || n.op == opMultiway) && x.Eng.Observing() {
+		t0 = time.Now()
+	}
+	out, note, err := x.apply(n, ins, t0)
+	if err != nil || !analyze {
+		return out, nil, err
+	}
+	if n.op == opProject {
+		return out, kids[0], nil
+	}
+	return out, obs.NewPlanNode(n.label(false)+note, int64(out.Len()), time.Since(t0), kids...), nil
+}
+
+// apply runs one node over its already-computed inputs. note is the
+// run-time annotation for the analyzed label: which kernel path ran.
+func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *relation.Relation, note string, err error) {
+	switch n.op {
+	case opValues:
+		out = relation.New(schema.Schema{})
+		out.Append(relation.Tuple{})
+		return out, "", nil
+	case opScan:
+		rel := n.over
+		if n.tab != nil {
+			if rel, err = x.Eng.Rel(n.ref.Name); err != nil {
+				return nil, "", err
+			}
+			if !rel.Sch.Equal(n.sch) {
+				return nil, "", fmt.Errorf("sql: table %s changed shape while the statement was planned", n.ref.Name)
+			}
+		}
+		// Re-qualified under the alias (ρ) without copying tuples.
+		return &relation.Relation{Sch: n.sch, Tuples: rel.Tuples}, "", nil
+	case opSubquery:
+		return &relation.Relation{Sch: n.sch, Tuples: ins[0].Tuples}, "", nil
+	case opOuterJoin:
+		if n.ref.Kind == JoinLeftOuter {
+			out = ra.LeftOuterJoin(ins[0], ins[1], n.join.lCols, n.join.rCols, x.Eng.Gov())
+		} else {
+			out = ra.FullOuterJoin(ins[0], ins[1], n.join.lCols, n.join.rCols, x.Eng.Gov())
+		}
+	case opEquiJoin:
+		out = x.equiJoin(n, ins[0], ins[1], t0)
+	case opProduct:
+		out = ra.Product(ins[0], ins[1])
+	case opMultiway:
+		out = x.multiwayJoin(n, ins, t0)
+	case opFilter:
+		return x.filter(ins[0], n.pred, n.vec)
+	case opAggregate:
+		return x.aggregate(n, ins[0])
+	case opProject:
+		out, err = x.project(n, ins[0])
+		return out, "", err
+	case opDistinct:
+		return ra.Distinct(ins[0]), "", nil
+	case opSort:
+		desc := make([]bool, len(n.sortCols))
+		for i, o := range n.stmt.OrderBy {
+			desc[i] = o.Desc
+		}
+		return ra.OrderBy(ins[0], n.sortCols, desc), "", nil
+	case opLimit:
+		return ra.Limit(ins[0], n.stmt.Limit), "", nil
+	case opSetOp:
+		switch n.stmt.SetOp {
 		case "union all":
-			left = ra.UnionAll(left, right)
+			out = ra.UnionAll(ins[0], ins[1])
 		case "union":
-			left = ra.Union(left, right)
+			out = ra.Union(ins[0], ins[1])
 		case "except":
-			left = ra.Difference(ra.Distinct(left), right)
-		case "intersect":
-			left = ra.Intersect(left, right)
+			out = ra.Difference(ra.Distinct(ins[0]), ins[1])
 		default:
-			return nil, nil, fmt.Errorf("sql: unknown set op %q", cur.SetOp)
+			out = ra.Intersect(ins[0], ins[1])
 		}
-		if x.analyze {
-			plan = obs.NewPlanNode(cur.SetOp, int64(left.Len()), time.Since(t0), plan, rplan)
-		}
+		return out, "", nil
 	}
-	return left, plan, nil
-}
-
-// source is one resolved FROM input.
-type source struct {
-	rel      *relation.Relation
-	analyzed bool
-	name     string // display name for qualification
-	table    string // catalog table name when resolved from the catalog ("" otherwise)
-}
-
-func (x *Exec) resolve(name string) (*relation.Relation, bool, error) {
-	if r, ok := x.Override[name]; ok {
-		return r, false, nil
-	}
-	return x.Eng.RelAnalyzed(name)
-}
-
-func (x *Exec) resolveRef(t *TableRef) (source, error) {
-	if t.GraphTable != nil {
-		return source{}, fmt.Errorf("sql: unexpanded GRAPH_TABLE reference to graph %q (run ExpandStatement first)", t.GraphTable.Graph)
-	}
-	if t.IsJoin() {
-		rel, err := x.evalJoinRef(t)
-		return source{rel: rel, analyzed: false, name: t.DisplayName()}, err
-	}
-	if t.Sub != nil {
-		rel, err := x.Run(t.Sub)
-		if err != nil {
-			return source{}, err
-		}
-		if t.Alias != "" {
-			rel = ra.Rename(rel, t.Alias, nil)
-		}
-		return source{rel: rel, name: t.DisplayName()}, nil
-	}
-	rel, analyzed, err := x.resolve(t.Name)
-	if err != nil {
-		return source{}, err
-	}
-	table := t.Name
-	if _, ok := x.Override[t.Name]; ok {
-		table = "" // an override is not the catalog table of the same name
-	}
-	// Re-qualify under the alias (ρ) without copying tuples.
-	rel = &relation.Relation{Sch: rel.Sch.Qualify(t.DisplayName()), Tuples: rel.Tuples}
-	return source{rel: rel, analyzed: analyzed, name: t.DisplayName(), table: table}, nil
-}
-
-// evalJoinRef evaluates explicit LEFT/FULL OUTER/INNER JOIN nodes.
-func (x *Exec) evalJoinRef(t *TableRef) (*relation.Relation, error) {
-	l, err := x.resolveRef(t.Join)
-	if err != nil {
-		return nil, err
-	}
-	r, err := x.resolveRef(t.Right)
-	if err != nil {
-		return nil, err
-	}
-	combined := l.rel.Sch.Concat(r.rel.Sch)
-	lCols, rCols, residual, err := equiCols(t.On, l.rel.Sch, r.rel.Sch)
-	if err != nil {
-		return nil, err
-	}
-	if len(lCols) == 0 && t.Kind != JoinInner {
-		return nil, fmt.Errorf("sql: outer join requires equality conditions")
-	}
-	var out *relation.Relation
-	switch t.Kind {
-	case JoinLeftOuter:
-		out = ra.LeftOuterJoin(l.rel, r.rel, lCols, rCols, x.Eng.Gov())
-	case JoinFullOuter:
-		out = ra.FullOuterJoin(l.rel, r.rel, lCols, rCols, x.Eng.Gov())
-	default:
-		out = ra.EquiJoin(l.rel, r.rel, ra.EquiJoinSpec{
-			LeftCols: lCols, RightCols: rCols, Algo: x.algoFor(l.analyzed && r.analyzed),
-			Gov: x.Eng.Gov(),
-		})
-	}
+	// Every join materializes an intermediate.
 	if err := x.Eng.ChargeMaterialized(out); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	if residual != nil {
-		if x.Eng.DisableVectorized {
-			pred, err := x.compilePred(residual, combined)
+	if n.join.restore != nil {
+		out = ra.ProjectCols(out, n.join.restore)
+	}
+	return out, "", nil
+}
+
+// equiJoin runs one binary equi-join step. The build-side structure the
+// planner chose is opened here — built once per table version and extended
+// in place on appends, so the recursive loop's immutable build sides never
+// rebuild.
+func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) *relation.Relation {
+	j := n.join
+	spec := ra.EquiJoinSpec{LeftCols: j.lCols, RightCols: j.rCols, Algo: j.algo, Gov: x.Eng.Gov()}
+	if x.Eng.Observing() {
+		spec.Span = &obs.Span{Op: "join", Algo: j.algo.String(), Note: "sql equi-join", Start: t0}
+	}
+	if j.path != engine.FreshBuild {
+		spec.RightCSR, spec.RightHash = x.Eng.OpenBuildSide(n.kids[1].ref.Name, j.path, j.rCols, -1)
+	}
+	out := ra.EquiJoin(l, r, spec)
+	x.Eng.CountJoin()
+	if sp := spec.Span; sp != nil {
+		sp.LeftRows, sp.RightRows, sp.OutRows = int64(l.Len()), int64(r.Len()), int64(out.Len())
+		sp.BytesMaterialized = int64(out.Len()) * int64(out.Sch.Arity()) * 16
+		sp.Dur = time.Since(t0)
+		x.Eng.Emit(*sp)
+	}
+	return out
+}
+
+// multiwayJoin runs the cyclic core through the worst-case-optimal join.
+func (x *Exec) multiwayJoin(n *planNode, ins []*relation.Relation, t0 time.Time) *relation.Relation {
+	wp := n.join.wcoj
+	atoms := make([]ra.WCOJAtom, len(wp.Atoms))
+	for k, ap := range wp.Atoms {
+		atoms[k] = ra.WCOJAtom{Rel: ins[k], VarCols: ap.VarCols}
+		if ap.CSR {
+			sc, dc, _ := ap.csrShape()
+			atoms[k].CSR, _ = x.Eng.OpenBuildSide(n.kids[k].ref.Name, engine.CachedCSR, []int{sc}, dc)
+		}
+	}
+	out, stats := ra.WCOJ(ra.WCOJSpec{Atoms: atoms, NumVars: wp.NumVars, Order: wp.Order, Gov: x.Eng.Gov()})
+	x.Eng.CountWCOJ(stats.Builds, stats.Probes)
+	if x.Eng.Observing() {
+		sp := obs.Span{Op: "join", Algo: "wcoj", Note: "sql multiway generic join", Start: t0, OutRows: int64(out.Len()), Dur: time.Since(t0)}
+		sp.BytesMaterialized = int64(out.Len()) * int64(out.Sch.Arity()) * 16
+		x.Eng.Emit(sp)
+	}
+	return out
+}
+
+// filter keeps the rows satisfying pred, through the selection-vector
+// kernels or the row closures as planned.
+func (x *Exec) filter(in *relation.Relation, pred Expr, vec bool) (*relation.Relation, string, error) {
+	if !vec {
+		p, err := x.compilePred(pred, in.Sch)
+		if err != nil {
+			return nil, "", err
+		}
+		out, err := ra.Select(in, p)
+		return out, "", err
+	}
+	p, fellBack, err := x.compileVecPred(pred, in.Sch)
+	if err != nil {
+		return nil, "", err
+	}
+	out, err := x.selectVec(in, p, fellBack)
+	return out, vecPathNote(fellBack), err
+}
+
+// project evaluates the select list; the output columns are the planned
+// ones ("*" expands to the input's).
+func (x *Exec) project(n *planNode, in *relation.Relation) (*relation.Relation, error) {
+	var vouts []ra.VecOutCol
+	var outs []ra.OutCol
+	fellBack := false
+	for _, it := range n.items {
+		if it.Star {
+			for ci := range in.Sch {
+				if n.vec {
+					vouts = append(vouts, ra.VecOutCol{Col: in.Sch[ci], Expr: ra.VecColExpr(ci)})
+				} else {
+					outs = append(outs, ra.OutCol{Col: in.Sch[ci], Expr: ra.ColExpr(ci)})
+				}
+			}
+			continue
+		}
+		col := n.sch[len(vouts)+len(outs)]
+		if n.vec {
+			ex, fb, err := x.compileVecExpr(it.Expr, in.Sch)
 			if err != nil {
 				return nil, err
 			}
-			return ra.Select(out, pred)
+			fellBack = fellBack || fb
+			vouts = append(vouts, ra.VecOutCol{Col: col, Expr: ex})
+		} else {
+			ex, err := x.compileExpr(it.Expr, in.Sch)
+			if err != nil {
+				return nil, err
+			}
+			outs = append(outs, ra.OutCol{Col: col, Expr: ex})
 		}
-		pred, fellBack, err := x.compileVecPred(residual, combined)
+	}
+	if n.vec {
+		return x.projectVecOuts(in, vouts, fellBack)
+	}
+	return ra.Project(in, outs)
+}
+
+// aggregate groups the input and applies HAVING; its output is the plan's
+// virtual schema (group keys ++ aggregate results), which the project node
+// above evaluates the select list over. The vectorized group-by runs when
+// planned and its key shape qualifies (zero or one dense integer key
+// column — only the data can tell); otherwise the row hash aggregate runs.
+func (x *Exec) aggregate(n *planNode, in *relation.Relation) (*relation.Relation, string, error) {
+	a := n.agg
+	// Computed (non-column) group keys are appended to the input first,
+	// under the key columns the plan named.
+	var keys []ra.OutCol
+	for i, g := range n.stmt.GroupBy {
+		if _, ok := g.(*ColRef); ok {
+			continue
+		}
+		ex, err := x.compileExpr(g, in.Sch)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return x.selectVec(out, pred, fellBack)
+		keys = append(keys, ra.OutCol{Col: a.virtual[i], Expr: ex})
 	}
-	return out, nil
-}
-
-func (x *Exec) algoFor(allAnalyzed bool) ra.JoinAlgo {
-	if allAnalyzed {
-		return x.Eng.Prof.BaseJoin
+	if len(keys) > 0 {
+		outs := make([]ra.OutCol, 0, in.Sch.Arity()+len(keys))
+		for ci := range in.Sch {
+			outs = append(outs, ra.OutCol{Col: in.Sch[ci], Expr: ra.ColExpr(ci)})
+		}
+		var err error
+		if in, err = ra.Project(in, append(outs, keys...)); err != nil {
+			return nil, "", err
+		}
 	}
-	a := x.Eng.Prof.TempJoin
-	if a == ra.SortMergeJoin && x.Eng.Prof.UseTempIndexes {
-		return ra.IndexMergeJoin
-	}
-	return a
-}
-
-// equiCols splits a join condition into equi-join column pairs (left-side
-// column = right-side column) plus a residual conjunction.
-func equiCols(on Expr, lSch, rSch schema.Schema) (lCols, rCols []int, residual Expr, err error) {
-	if on == nil {
-		return nil, nil, nil, nil
-	}
-	conjuncts := splitAnd(on)
-	for _, c := range conjuncts {
-		b, ok := c.(*Binary)
-		if ok && b.Op == "=" {
-			lc, lok := b.L.(*ColRef)
-			rc, rok := b.R.(*ColRef)
-			if lok && rok {
-				li, lerr := lSch.Resolve(lc.Table, lc.Name)
-				ri, rerr := rSch.Resolve(rc.Table, rc.Name)
-				if lerr == nil && rerr == nil {
-					lCols = append(lCols, li)
-					rCols = append(rCols, ri)
-					continue
-				}
-				// Maybe swapped sides.
-				li, lerr = lSch.Resolve(rc.Table, rc.Name)
-				ri, rerr = rSch.Resolve(lc.Table, lc.Name)
-				if lerr == nil && rerr == nil {
-					lCols = append(lCols, li)
-					rCols = append(rCols, ri)
-					continue
-				}
+	aggCols := a.virtual[len(a.groupCols):]
+	var grouped *relation.Relation
+	note := ""
+	if n.vec {
+		specs, fellBack, err := x.compileVecAggs(a.calls, a.kinds, aggCols, in.Sch)
+		if err != nil {
+			return nil, "", err
+		}
+		g, handled, err := ra.GroupByVec(in, a.groupCols, specs)
+		if err != nil {
+			return nil, "", err
+		}
+		note = " (row path)"
+		if handled {
+			grouped, note = g, vecPathNote(fellBack)
+			x.Eng.CountVectorizedBatch(fellBack)
+			if err := x.Eng.Gov().ChargeBytes(int64(g.Len()) * int64(g.Sch.Arity()) * 16); err != nil {
+				return nil, "", err
 			}
 		}
-		residual = andJoin(residual, c)
 	}
-	return lCols, rCols, residual, nil
+	if grouped == nil {
+		specs := make([]ra.AggSpec, len(a.calls))
+		for i, f := range a.calls {
+			var arg ra.Expr
+			if !f.Star {
+				var err error
+				if arg, err = x.compileExpr(f.Args[0], in.Sch); err != nil {
+					return nil, "", err
+				}
+			}
+			switch a.kinds[i] {
+			case ra.VecSum:
+				specs[i] = ra.Sum(aggCols[i], arg)
+			case ra.VecMin:
+				specs[i] = ra.MinAgg(aggCols[i], arg)
+			case ra.VecMax:
+				specs[i] = ra.MaxAgg(aggCols[i], arg)
+			case ra.VecAvg:
+				specs[i] = ra.Avg(aggCols[i], arg)
+			default: // count(expr), and count(*) with its nil argument
+				specs[i] = ra.Count(aggCols[i], arg)
+			}
+		}
+		var err error
+		if grouped, err = ra.GroupBy(in, a.groupCols, specs); err != nil {
+			return nil, "", err
+		}
+	}
+	grouped.Sch = a.virtual
+	x.Eng.CountGroupBy()
+	if a.having != nil {
+		var err error
+		if grouped, _, err = x.filter(grouped, a.having, n.vec); err != nil {
+			return nil, "", err
+		}
+	}
+	return grouped, note, nil
 }
 
 func splitAnd(e Expr) []Expr {
@@ -244,633 +366,6 @@ func andJoin(a, b Expr) Expr {
 	}
 	return &Binary{Op: "and", L: a, R: b}
 }
-
-func (x *Exec) runOne(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) {
-	// Resolve FROM (no FROM = one empty tuple, for "select 1+1").
-	var input *relation.Relation
-	var plan *obs.PlanNode
-	var allAnalyzed = true
-	if len(s.From) == 0 {
-		input = relation.New(schema.Schema{})
-		input.Append(relation.Tuple{})
-		if x.analyze {
-			plan = obs.NewPlanNode("values (one row)", 1, 0)
-		}
-	} else {
-		srcs := make([]source, len(s.From))
-		var scans []*obs.PlanNode
-		if x.analyze {
-			scans = make([]*obs.PlanNode, len(s.From))
-		}
-		for i, f := range s.From {
-			var t0 time.Time
-			if x.analyze {
-				t0 = time.Now()
-			}
-			src, err := x.resolveRef(f)
-			if err != nil {
-				return nil, nil, err
-			}
-			srcs[i] = src
-			allAnalyzed = allAnalyzed && src.analyzed
-			if x.analyze {
-				scans[i] = obs.NewPlanNode(x.refLabel(f), int64(src.rel.Len()), time.Since(t0))
-			}
-		}
-		var conjuncts []Expr
-		if s.Where != nil {
-			conjuncts = splitAnd(s.Where)
-		}
-		used := make([]bool, len(conjuncts))
-		// A cyclic equi-join core lowers to the worst-case-optimal multiway
-		// join; the remaining (tail) sources fold onto its result through
-		// the ordinary binary loop below.
-		var wplan *wcojPlan
-		if !x.Eng.DisableWCOJ {
-			schemas := make([]schema.Schema, len(srcs))
-			for i := range srcs {
-				schemas[i] = srcs[i].rel.Sch
-			}
-			wplan = chooseWCOJ(schemas, conjuncts, used)
-		}
-		var remaining []int
-		if wplan != nil {
-			for _, ci := range wplan.Conjuncts {
-				used[ci] = true
-			}
-			var t0 time.Time
-			observing := x.Eng.Observing()
-			if x.analyze || observing {
-				t0 = time.Now()
-			}
-			atoms := make([]ra.WCOJAtom, len(wplan.Core))
-			for k, si := range wplan.Core {
-				atoms[k] = ra.WCOJAtom{Rel: srcs[si].rel, VarCols: wplan.Atoms[k].VarCols}
-				// A table-backed binary atom reuses the cached (src, dst)
-				// CSR as its sorted backing instead of building a trie.
-				if srcs[si].table != "" {
-					if sc, dc, ok := wplan.Atoms[k].csrShape(); ok {
-						atoms[k].CSR = x.Eng.WCOJEdgeCSR(srcs[si].table, sc, dc)
-					}
-				}
-			}
-			var stats ra.WCOJStats
-			input, stats = ra.WCOJ(ra.WCOJSpec{
-				Atoms:   atoms,
-				NumVars: wplan.NumVars,
-				Order:   wplan.Order,
-				Gov:     x.Eng.Gov(),
-			})
-			x.Eng.CountWCOJ(stats.Builds, stats.Probes)
-			if observing {
-				sp := obs.Span{Op: "join", Algo: "wcoj", Note: "sql multiway generic join", Start: t0, OutRows: int64(input.Len()), Dur: time.Since(t0)}
-				sp.BytesMaterialized = int64(input.Len()) * int64(input.Sch.Arity()) * 16
-				x.Eng.Emit(sp)
-			}
-			if x.analyze {
-				label := fmt.Sprintf("multiway generic join on %s via wcoj", strings.Join(wplan.Keys, " and "))
-				children := make([]*obs.PlanNode, len(wplan.Core))
-				for k, si := range wplan.Core {
-					children[k] = scans[si]
-				}
-				plan = obs.NewPlanNode(label, int64(input.Len()), time.Since(t0), children...)
-			}
-			if err := x.Eng.ChargeMaterialized(input); err != nil {
-				return nil, nil, err
-			}
-			inCore := make([]bool, len(srcs))
-			for _, si := range wplan.Core {
-				inCore[si] = true
-			}
-			for i := range srcs {
-				if !inCore[i] {
-					remaining = append(remaining, i)
-				}
-			}
-		} else {
-			input = srcs[0].rel
-			if x.analyze {
-				plan = scans[0]
-			}
-			for i := 1; i < len(srcs); i++ {
-				remaining = append(remaining, i)
-			}
-		}
-		for _, i := range remaining {
-			next := srcs[i]
-			var lCols, rCols []int
-			var keys []string
-			for ci, c := range conjuncts {
-				if used[ci] {
-					continue
-				}
-				b, ok := c.(*Binary)
-				if !ok || b.Op != "=" {
-					continue
-				}
-				lc, lok := b.L.(*ColRef)
-				rc, rok := b.R.(*ColRef)
-				if !lok || !rok {
-					continue
-				}
-				li, lerr := input.Sch.Resolve(lc.Table, lc.Name)
-				ri, rerr := next.rel.Sch.Resolve(rc.Table, rc.Name)
-				if lerr != nil || rerr != nil {
-					li, lerr = input.Sch.Resolve(rc.Table, rc.Name)
-					ri, rerr = next.rel.Sch.Resolve(lc.Table, lc.Name)
-				}
-				if lerr == nil && rerr == nil {
-					lCols = append(lCols, li)
-					rCols = append(rCols, ri)
-					used[ci] = true
-					if x.analyze {
-						keys = append(keys, ExprString(c))
-					}
-				}
-			}
-			var t0 time.Time
-			observing := x.Eng.Observing()
-			if x.analyze || observing {
-				t0 = time.Now()
-			}
-			leftRows := int64(input.Len())
-			if len(lCols) > 0 {
-				algo := x.algoFor(allAnalyzed)
-				var sp *obs.Span
-				if observing {
-					sp = &obs.Span{Op: "join", Algo: algo.String(), Note: "sql equi-join", Start: t0}
-				}
-				spec := ra.EquiJoinSpec{
-					LeftCols: lCols, RightCols: rCols,
-					Algo: algo,
-					Gov:  x.Eng.Gov(),
-					Span: sp,
-				}
-				// A plain catalog table on the build side can serve its
-				// cached access structures: a covering CSR adjacency index
-				// replaces the hash build entirely on single-column keys,
-				// else the cached hash index serves. Both are built once per
-				// table version and extended in place on appends, so the
-				// recursive loop's immutable build sides never rebuild
-				// (either structure is revalidated against the probe-time
-				// rows inside the join).
-				viaCSR := false
-				if algo == ra.HashJoin && next.table != "" {
-					if csr := x.Eng.BuildSideCSR(next.table, rCols); csr != nil {
-						spec.RightCSR = csr
-						viaCSR = true
-					} else {
-						spec.RightHash = x.Eng.BuildSideHash(next.table, rCols)
-					}
-				}
-				input = ra.EquiJoin(input, next.rel, spec)
-				x.Eng.CountJoin()
-				if sp != nil {
-					sp.LeftRows, sp.RightRows, sp.OutRows = leftRows, int64(next.rel.Len()), int64(input.Len())
-					sp.BytesMaterialized = int64(input.Len()) * int64(input.Sch.Arity()) * 16
-					sp.Dur = time.Since(t0)
-					x.Eng.Emit(*sp)
-				}
-				if x.analyze {
-					label := fmt.Sprintf("%s join on %s", algo, strings.Join(keys, " and "))
-					if viaCSR {
-						label += " via csr"
-					}
-					plan = obs.NewPlanNode(label, int64(input.Len()), time.Since(t0), plan, scans[i])
-				}
-			} else {
-				input = ra.Product(input, next.rel)
-				if x.analyze {
-					plan = obs.NewPlanNode("nested-loop product", int64(input.Len()), time.Since(t0), plan, scans[i])
-				}
-			}
-			if err := x.Eng.ChargeMaterialized(input); err != nil {
-				return nil, nil, err
-			}
-		}
-		// The WCOJ lowering joins core sources first, so when a tail source
-		// precedes a core source in FROM order the concatenated columns are
-		// permuted relative to the binary plan. Restore FROM order so
-		// "select *" output stays byte-identical across the two paths.
-		if wplan != nil {
-			input = restoreFromOrder(input, srcs, append(append([]int{}, wplan.Core...), remaining...))
-		}
-		// Residual WHERE conjuncts.
-		var residual Expr
-		for ci, c := range conjuncts {
-			if !used[ci] {
-				residual = andJoin(residual, c)
-			}
-		}
-		if residual != nil {
-			var t0 time.Time
-			if x.analyze {
-				t0 = time.Now()
-			}
-			label := "filter " + ExprString(residual)
-			if x.Eng.DisableVectorized {
-				pred, err := x.compilePred(residual, input.Sch)
-				if err != nil {
-					return nil, nil, err
-				}
-				var serr error
-				input, serr = ra.Select(input, pred)
-				if serr != nil {
-					return nil, nil, serr
-				}
-			} else {
-				pred, fellBack, err := x.compileVecPred(residual, input.Sch)
-				if err != nil {
-					return nil, nil, err
-				}
-				var serr error
-				input, serr = x.selectVec(input, pred, fellBack)
-				if serr != nil {
-					return nil, nil, serr
-				}
-				label += vecPathNote(fellBack)
-			}
-			if x.analyze {
-				plan = obs.NewPlanNode(label, int64(input.Len()), time.Since(t0), plan)
-			}
-		}
-	}
-
-	var out *relation.Relation
-	var err error
-	var t0 time.Time
-	if x.analyze {
-		t0 = time.Now()
-	}
-	if len(s.GroupBy) > 0 || s.HasAggregates() {
-		var aggNote string
-		out, aggNote, err = x.runAggregate(s, input)
-		if err == nil && x.analyze {
-			keys := make([]string, len(s.GroupBy))
-			for i, g := range s.GroupBy {
-				keys[i] = ExprString(g)
-			}
-			label := "hash aggregate (single group)"
-			if len(keys) > 0 {
-				label = "hash aggregate on (" + strings.Join(keys, ", ") + ")"
-			}
-			plan = obs.NewPlanNode(label+aggNote, int64(out.Len()), time.Since(t0), plan)
-		}
-	} else {
-		out, err = x.project(s, input)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.Distinct {
-		if x.analyze {
-			t0 = time.Now()
-		}
-		out = ra.Distinct(out)
-		if x.analyze {
-			plan = obs.NewPlanNode("distinct", int64(out.Len()), time.Since(t0), plan)
-		}
-	}
-	if len(s.OrderBy) > 0 {
-		cols := make([]int, len(s.OrderBy))
-		desc := make([]bool, len(s.OrderBy))
-		parts := make([]string, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			cr, ok := o.Expr.(*ColRef)
-			if !ok {
-				return nil, nil, fmt.Errorf("sql: order by supports column references only")
-			}
-			idx, rerr := out.Sch.Resolve(cr.Table, cr.Name)
-			if rerr != nil {
-				return nil, nil, rerr
-			}
-			cols[i] = idx
-			desc[i] = o.Desc
-			parts[i] = ExprString(o.Expr)
-			if o.Desc {
-				parts[i] += " desc"
-			}
-		}
-		if x.analyze {
-			t0 = time.Now()
-		}
-		out = ra.OrderBy(out, cols, desc)
-		if x.analyze {
-			plan = obs.NewPlanNode("sort by "+strings.Join(parts, ", "), int64(out.Len()), time.Since(t0), plan)
-		}
-	}
-	if s.Limit >= 0 {
-		out = ra.Limit(out, s.Limit)
-		if x.analyze {
-			plan = obs.NewPlanNode(fmt.Sprintf("limit %d", s.Limit), int64(out.Len()), 0, plan)
-		}
-	}
-	return out, plan, nil
-}
-
-// refLabel names a FROM item for a plan node. Labels deliberately omit row
-// counts (unlike EXPLAIN's scan lines): the analyze plans of a WITH+ loop
-// are merged structurally across iterations, and the working table's row
-// count changes every iteration — actual rows live in the node's Rows
-// field, accumulated across loops.
-func (x *Exec) refLabel(t *TableRef) string {
-	switch {
-	case t.IsJoin():
-		kind := map[JoinKind]string{JoinInner: "inner", JoinLeftOuter: "left outer", JoinFullOuter: "full outer"}[t.Kind]
-		return fmt.Sprintf("%s join on %s", kind, ExprString(t.On))
-	case t.Sub != nil:
-		return "subquery " + t.DisplayName()
-	default:
-		if _, ok := x.Override[t.Name]; ok {
-			if x.Delta[t.Name] {
-				return fmt.Sprintf("scan %s (Δ frontier, no statistics)", t.DisplayName())
-			}
-			return fmt.Sprintf("scan %s (working table, no statistics)", t.DisplayName())
-		}
-		tab, err := x.Eng.Cat.Get(t.Name)
-		if err != nil {
-			return "scan " + t.DisplayName()
-		}
-		stats := "no statistics"
-		if tab.Analyzed() {
-			stats = "analyzed"
-		}
-		kind := "base"
-		if tab.Temp {
-			kind = "temp"
-		}
-		return fmt.Sprintf("scan %s (%s table, %s)", t.DisplayName(), kind, stats)
-	}
-}
-
-// project evaluates the select list without aggregation.
-func (x *Exec) project(s *SelectStmt, input *relation.Relation) (*relation.Relation, error) {
-	if !x.Eng.DisableVectorized {
-		var outs []ra.VecOutCol
-		fellBack := false
-		for i, it := range s.Items {
-			if it.Star {
-				for ci := range input.Sch {
-					outs = append(outs, ra.VecOutCol{Col: input.Sch[ci], Expr: ra.VecColExpr(ci)})
-				}
-				continue
-			}
-			ex, fb, err := x.compileVecExpr(it.Expr, input.Sch)
-			if err != nil {
-				return nil, err
-			}
-			fellBack = fellBack || fb
-			outs = append(outs, ra.VecOutCol{Col: outColName(it, i, input.Sch), Expr: ex})
-		}
-		return x.projectVecOuts(input, outs, fellBack)
-	}
-	var outs []ra.OutCol
-	for i, it := range s.Items {
-		if it.Star {
-			for ci := range input.Sch {
-				ci := ci
-				outs = append(outs, ra.OutCol{Col: input.Sch[ci], Expr: ra.ColExpr(ci)})
-			}
-			continue
-		}
-		ex, err := x.compileExpr(it.Expr, input.Sch)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, ra.OutCol{Col: outColName(it, i, input.Sch), Expr: ex})
-	}
-	return ra.Project(input, outs)
-}
-
-func outColName(it SelectItem, i int, sch schema.Schema) schema.Column {
-	var col schema.Column
-	// Infer the type from a column reference (including the internal
-	// __aggN references that aggregate rewriting produces).
-	if cr, ok := it.Expr.(*ColRef); ok {
-		if idx, err := sch.Resolve(cr.Table, cr.Name); err == nil {
-			col.Type = sch[idx].Type
-		}
-	}
-	if it.Alias != "" {
-		col.Name = it.Alias
-		return col
-	}
-	if cr, ok := it.Expr.(*ColRef); ok {
-		// Keep the qualifier so ORDER BY / outer queries can still resolve
-		// the qualified form.
-		col.Table, col.Name = cr.Table, cr.Name
-		return col
-	}
-	col.Name = fmt.Sprintf("col%d", i+1)
-	return col
-}
-
-// runAggregate handles GROUP BY / global aggregates: aggregates inside the
-// select list are computed per group, then the outer expressions are
-// evaluated over (group keys ++ aggregate results). pathNote reports which
-// aggregation path ran, for the analyzed plan label: the vectorized
-// group-by when its key shape qualifies, else the row hash aggregate.
-func (x *Exec) runAggregate(s *SelectStmt, input *relation.Relation) (*relation.Relation, string, error) {
-	groupCols := make([]int, len(s.GroupBy))
-	virtual := schema.Schema{}
-	// Group-by expressions that are not plain column references are
-	// computed into appended key columns first.
-	var extended []ra.OutCol
-	for i, g := range s.GroupBy {
-		if cr, ok := g.(*ColRef); ok {
-			idx, err := input.Sch.Resolve(cr.Table, cr.Name)
-			if err != nil {
-				return nil, "", err
-			}
-			groupCols[i] = idx
-			virtual = append(virtual, input.Sch[idx])
-			continue
-		}
-		ex, err := x.compileExpr(g, input.Sch)
-		if err != nil {
-			return nil, "", err
-		}
-		col := schema.Column{Name: fmt.Sprintf("__key%d", i)}
-		groupCols[i] = input.Sch.Arity() + len(extended)
-		extended = append(extended, ra.OutCol{Col: col, Expr: ex})
-		virtual = append(virtual, col)
-	}
-	if len(extended) > 0 {
-		outs := make([]ra.OutCol, 0, input.Sch.Arity()+len(extended))
-		for ci := range input.Sch {
-			outs = append(outs, ra.OutCol{Col: input.Sch[ci], Expr: ra.ColExpr(ci)})
-		}
-		outs = append(outs, extended...)
-		var err error
-		input, err = ra.Project(input, outs)
-		if err != nil {
-			return nil, "", err
-		}
-	}
-	// Collect aggregate calls across select items and having.
-	var aggCalls []*FuncCall
-	collect := func(e Expr) Expr {
-		return rewrite(e, func(n Expr) Expr {
-			if f, ok := n.(*FuncCall); ok && f.IsAggregate() {
-				for i, prev := range aggCalls {
-					if prev == f {
-						return &ColRef{Name: aggName(i)}
-					}
-				}
-				aggCalls = append(aggCalls, f)
-				return &ColRef{Name: aggName(len(aggCalls) - 1)}
-			}
-			return n
-		})
-	}
-	// Select items and HAVING may repeat a group-by expression verbatim
-	// ("select b0+b1 from t group by b0+b1"): such subtrees resolve to the
-	// computed key column.
-	replaceKeys := func(e Expr) Expr {
-		return rewrite(e, func(n Expr) Expr {
-			for i, g := range s.GroupBy {
-				if _, isCol := g.(*ColRef); !isCol && exprEqual(n, g) {
-					return &ColRef{Name: fmt.Sprintf("__key%d", i)}
-				}
-			}
-			return n
-		})
-	}
-	items := make([]SelectItem, len(s.Items))
-	for i, it := range s.Items {
-		if it.Star {
-			return nil, "", fmt.Errorf("sql: select * cannot be combined with aggregation")
-		}
-		alias := it.Alias
-		if alias == "" {
-			// A bare aggregate select item is named after its function.
-			if f, ok := it.Expr.(*FuncCall); ok && f.IsAggregate() {
-				alias = strings.ToLower(f.Name)
-			}
-		}
-		items[i] = SelectItem{Expr: replaceKeys(collect(it.Expr)), Alias: alias}
-	}
-	var having Expr
-	if s.Having != nil {
-		having = replaceKeys(collect(s.Having))
-	}
-	// The vectorized group-by runs when its key shape qualifies (zero or
-	// one dense integer key column); otherwise the row hash aggregate runs.
-	var grouped *relation.Relation
-	var pathNote string
-	if !x.Eng.DisableVectorized {
-		vspecs, vfb, ok, err := x.compileVecAggs(aggCalls, input.Sch)
-		if err != nil {
-			return nil, "", err
-		}
-		if ok {
-			g, handled, err := ra.GroupByVec(input, groupCols, vspecs)
-			if err != nil {
-				return nil, "", err
-			}
-			if handled {
-				grouped = g
-				pathNote = vecPathNote(vfb)
-				x.Eng.CountVectorizedBatch(vfb)
-				if err := x.Eng.Gov().ChargeBytes(int64(g.Len()) * int64(g.Sch.Arity()) * 16); err != nil {
-					return nil, "", err
-				}
-			}
-		}
-	}
-	// Build the row aggregate specs against the input schema (the names and
-	// types also complete the virtual schema both paths project from).
-	specs := make([]ra.AggSpec, len(aggCalls))
-	for i, f := range aggCalls {
-		col := schema.Column{Name: aggName(i), Type: value.KindFloat}
-		var argExpr ra.Expr
-		if !f.Star {
-			if len(f.Args) != 1 {
-				return nil, "", fmt.Errorf("sql: aggregate %s takes one argument", f.Name)
-			}
-			var err error
-			argExpr, err = x.compileExpr(f.Args[0], input.Sch)
-			if err != nil {
-				return nil, "", err
-			}
-		}
-		switch strings.ToLower(f.Name) {
-		case "sum":
-			specs[i] = ra.Sum(col, argExpr)
-		case "min":
-			specs[i] = ra.MinAgg(col, argExpr)
-		case "max":
-			specs[i] = ra.MaxAgg(col, argExpr)
-		case "avg":
-			specs[i] = ra.Avg(col, argExpr)
-		case "count":
-			col.Type = value.KindInt
-			specs[i] = ra.Count(col, argExpr)
-		default:
-			return nil, "", fmt.Errorf("sql: unknown aggregate %q", f.Name)
-		}
-		virtual = append(virtual, col)
-	}
-	if grouped == nil {
-		var err error
-		grouped, err = ra.GroupBy(input, groupCols, specs)
-		if err != nil {
-			return nil, "", err
-		}
-		if !x.Eng.DisableVectorized {
-			pathNote = " (row path)"
-		}
-	}
-	grouped.Sch = virtual
-	x.Eng.CountGroupBy()
-	if having != nil {
-		if x.Eng.DisableVectorized {
-			pred, err := x.compilePred(having, virtual)
-			if err != nil {
-				return nil, "", err
-			}
-			grouped, err = ra.Select(grouped, pred)
-			if err != nil {
-				return nil, "", err
-			}
-		} else {
-			pred, fellBack, err := x.compileVecPred(having, virtual)
-			if err != nil {
-				return nil, "", err
-			}
-			grouped, err = x.selectVec(grouped, pred, fellBack)
-			if err != nil {
-				return nil, "", err
-			}
-		}
-	}
-	if !x.Eng.DisableVectorized {
-		var outs []ra.VecOutCol
-		fellBack := false
-		for i, it := range items {
-			ex, fb, err := x.compileVecExpr(it.Expr, virtual)
-			if err != nil {
-				return nil, "", err
-			}
-			fellBack = fellBack || fb
-			outs = append(outs, ra.VecOutCol{Col: outColName(it, i, virtual), Expr: ex})
-		}
-		out, err := x.projectVecOuts(grouped, outs, fellBack)
-		return out, pathNote, err
-	}
-	var outs []ra.OutCol
-	for i, it := range items {
-		ex, err := x.compileExpr(it.Expr, virtual)
-		if err != nil {
-			return nil, "", err
-		}
-		outs = append(outs, ra.OutCol{Col: outColName(it, i, virtual), Expr: ex})
-	}
-	out, err := ra.Project(grouped, outs)
-	return out, pathNote, err
-}
-
-func aggName(i int) string { return fmt.Sprintf("__agg%d", i) }
 
 // rewrite applies fn bottom-up, rebuilding nodes whose children changed.
 func rewrite(e Expr, fn func(Expr) Expr) Expr {

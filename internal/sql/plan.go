@@ -1,0 +1,597 @@
+package sql
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/catalog"
+	"repro/internal/engine"
+	"repro/internal/ra"
+	"repro/internal/relation"
+	"repro/internal/schema"
+	"repro/internal/value"
+)
+
+// This file is the planner: plan() turns a SELECT into the one plan tree
+// that execute() runs and that EXPLAIN and EXPLAIN ANALYZE both render.
+// Planning reads schemas and statistics only — catalog metadata, Override
+// relations, cached-CSR peeks. It runs no subquery, builds no index and
+// charges no counter; statement-shape errors surface here, before any work.
+// Join order is FROM order and every non-key conjunct is a residual filter.
+
+// planOp enumerates the node kinds.
+type planOp uint8
+
+const (
+	opValues    planOp = iota // no FROM clause: one empty tuple
+	opScan                    // catalog table or Override relation
+	opSubquery                // FROM (select ...) alias; input: the subquery's plan
+	opOuterJoin               // explicit LEFT / FULL OUTER JOIN ... ON
+	opEquiJoin                // binary equi-join step
+	opProduct                 // no usable key: Cartesian product
+	opMultiway                // cyclic core through the worst-case-optimal join
+	opFilter                  // residual conjuncts
+	opAggregate               // GROUP BY / global aggregates, then HAVING
+	opProject                 // select list; not rendered, its input shows in its place
+	opDistinct
+	opSort
+	opLimit
+	opSetOp
+)
+
+// planNode is one operator of the plan: its statically derived output
+// schema, its inputs, and the decisions the planner took for it. Only the
+// fields of the node's own kind are set.
+type planNode struct {
+	op   planOp
+	sch  schema.Schema
+	kids []*planNode
+	stmt *SelectStmt // aggregate, sort, limit: the block; set-op: the block left of the operator
+
+	// Scans, subqueries and outer joins name their FROM item. A scan reads
+	// a catalog table (tab, with whether its statistics are current) or an
+	// Override relation (over, with whether it binds a Δ frontier).
+	ref      *TableRef
+	tab      *catalog.Table
+	over     *relation.Relation
+	analyzed bool
+	delta    bool
+
+	// Filter, project and aggregate run the vector kernels (vec) or the row
+	// closures; whether a vectorized node fell back to rows for a subtree,
+	// or a group-by's key shape was handled, is known only at run time.
+	vec   bool
+	pred  Expr
+	items []SelectItem
+	agg   *aggPlan
+
+	join     *joinPlan // outer join, equi-join, product, multiway join
+	sortCols []int
+}
+
+// joinPlan is what a join node decided: key columns per side and the
+// conjuncts they came from. An equi-join records the profile's algorithm
+// and, for a hash join over a catalog table, the build-side access path;
+// the multiway join its core and variable order. restore, on the topmost
+// join above a multiway core, permutes the columns back to FROM order.
+type joinPlan struct {
+	lCols, rCols []int
+	keys         []Expr
+	algo         ra.JoinAlgo
+	path         engine.AccessPath
+	wcoj         *wcojPlan
+	restore      []int
+}
+
+// aggPlan is the aggregate node's static half: where the group keys sit in
+// the (key-extended) input, the collected aggregate calls with their
+// kinds, HAVING rewritten over the output, and that output's schema —
+// group keys followed by one __aggN column per call.
+type aggPlan struct {
+	groupCols []int
+	calls     []*FuncCall
+	kinds     []ra.VecAggKind
+	having    Expr
+	virtual   schema.Schema
+}
+
+// plan builds the tree for a (possibly compound) statement.
+func (x *Exec) plan(s *SelectStmt) (*planNode, error) {
+	left, err := x.planSelect(s)
+	if err != nil {
+		return nil, err
+	}
+	for cur := s; cur.Next != nil; cur = cur.Next {
+		right, err := x.planSelect(cur.Next)
+		if err != nil {
+			return nil, err
+		}
+		if !left.sch.UnionCompatible(right.sch) {
+			return nil, fmt.Errorf("sql: set operation arity mismatch (%d vs %d)", left.sch.Arity(), right.sch.Arity())
+		}
+		switch cur.SetOp {
+		case "union all", "union", "except", "intersect":
+		default:
+			return nil, fmt.Errorf("sql: unknown set op %q", cur.SetOp)
+		}
+		left = &planNode{op: opSetOp, stmt: cur, sch: left.sch, kids: []*planNode{left, right}}
+	}
+	return left, nil
+}
+
+// vectorized and multiway are the planner's reads of the two executor A/B
+// knobs; every node records the outcome, execute never looks again.
+func (x *Exec) vectorized() bool { return !x.Eng.DisableVectorized }
+func (x *Exec) multiway() bool   { return !x.Eng.DisableWCOJ }
+
+func (x *Exec) planSelect(s *SelectStmt) (*planNode, error) {
+	cur, err := x.planFrom(s)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.GroupBy) > 0 || s.HasAggregates() {
+		if cur, err = x.planAggregate(s, cur); err != nil {
+			return nil, err
+		}
+	} else {
+		cur = x.projectNode(s.Items, cur)
+	}
+	if s.Distinct {
+		cur = &planNode{op: opDistinct, sch: cur.sch, kids: []*planNode{cur}}
+	}
+	if len(s.OrderBy) > 0 {
+		n := &planNode{op: opSort, stmt: s, sch: cur.sch, kids: []*planNode{cur}, sortCols: make([]int, len(s.OrderBy))}
+		for i, o := range s.OrderBy {
+			cr, ok := o.Expr.(*ColRef)
+			if !ok {
+				return nil, fmt.Errorf("sql: order by supports column references only")
+			}
+			idx, err := cur.sch.Resolve(cr.Table, cr.Name)
+			if err != nil {
+				return nil, err
+			}
+			n.sortCols[i] = idx
+		}
+		cur = n
+	}
+	if s.Limit >= 0 {
+		cur = &planNode{op: opLimit, stmt: s, sch: cur.sch, kids: []*planNode{cur}}
+	}
+	return cur, nil
+}
+
+// planFrom plans FROM and WHERE: the sources in FROM order folded into a
+// left-deep join chain (a cyclic equi-join core first collapses into one
+// multiway node, its tail sources fold onto it), then the residual filter.
+func (x *Exec) planFrom(s *SelectStmt) (*planNode, error) {
+	if len(s.From) == 0 {
+		return &planNode{op: opValues}, nil
+	}
+	srcs := make([]*planNode, len(s.From))
+	allAnalyzed := true
+	for i, f := range s.From {
+		src, err := x.planRef(f)
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = src
+		allAnalyzed = allAnalyzed && src.analyzed
+	}
+	var conjuncts []Expr
+	if s.Where != nil {
+		conjuncts = splitAnd(s.Where)
+	}
+	used := make([]bool, len(conjuncts))
+	cur := srcs[0]
+	tails := srcs[1:]
+	var order []int // join order as source indexes, when a core reorders it
+	if len(srcs) >= 3 && x.multiway() {
+		schemas := make([]schema.Schema, len(srcs))
+		for i, src := range srcs {
+			schemas[i] = src.sch
+		}
+		if wp := chooseWCOJ(schemas, conjuncts, used); wp != nil {
+			cur = &planNode{op: opMultiway, join: &joinPlan{wcoj: wp}}
+			inCore := make([]bool, len(srcs))
+			for k, si := range wp.Core {
+				inCore[si] = true
+				cur.kids = append(cur.kids, srcs[si])
+				cur.sch = cur.sch.Concat(srcs[si].sch)
+				// A table-backed binary atom reads the cached (src, dst) CSR
+				// as its sorted backing instead of building a trie.
+				if sc, dc, ok := wp.Atoms[k].csrShape(); ok && srcs[si].tab != nil {
+					wp.Atoms[k].CSR = x.Eng.ChooseBuildSide(srcs[si].tab, []int{sc}, dc) == engine.CachedCSR
+				}
+			}
+			for _, ci := range wp.Conjuncts {
+				used[ci] = true
+				cur.join.keys = append(cur.join.keys, conjuncts[ci])
+			}
+			order = append(order, wp.Core...)
+			tails = nil
+			for i, src := range srcs {
+				if !inCore[i] {
+					tails = append(tails, src)
+					order = append(order, i)
+				}
+			}
+		}
+	}
+	for _, next := range tails {
+		lCols, rCols, keys := joinKeys(conjuncts, used, cur.sch, next.sch)
+		cur = x.joinNode(cur, next, lCols, rCols, keys, allAnalyzed)
+	}
+	// The multiway lowering joins core sources first, so when a tail source
+	// precedes a core source in FROM order the concatenated columns are
+	// permuted relative to the binary chain. Restore FROM order so
+	// "select *" output stays byte-identical across the two paths.
+	if perm := fromOrderPerm(srcs, order); perm != nil {
+		cur.join.restore, cur.sch = perm, cur.sch.Project(perm)
+	}
+	return x.filterUnused(conjuncts, used, cur), nil
+}
+
+// planRef plans one FROM item.
+func (x *Exec) planRef(t *TableRef) (*planNode, error) {
+	switch {
+	case t.GraphTable != nil:
+		return nil, fmt.Errorf("sql: unexpanded GRAPH_TABLE reference to graph %q (run ExpandStatement first)", t.GraphTable.Graph)
+	case t.IsJoin():
+		return x.planJoinRef(t)
+	case t.Sub != nil:
+		sub, err := x.plan(t.Sub)
+		if err != nil {
+			return nil, err
+		}
+		n := &planNode{op: opSubquery, ref: t, sch: sub.sch, kids: []*planNode{sub}}
+		if t.Alias != "" {
+			n.sch = sub.sch.Qualify(t.Alias)
+		}
+		return n, nil
+	}
+	// Re-qualify under the alias (ρ); an override is not the catalog table
+	// of the same name and always counts as a statistics-free temporary.
+	if r, ok := x.Override[t.Name]; ok {
+		return &planNode{op: opScan, ref: t, over: r, delta: x.Delta[t.Name], sch: r.Sch.Qualify(t.DisplayName())}, nil
+	}
+	tab, err := x.Eng.Cat.Get(t.Name)
+	if err != nil {
+		return nil, err
+	}
+	return &planNode{op: opScan, ref: t, tab: tab, analyzed: tab.Analyzed(), sch: tab.Sch.Qualify(t.DisplayName())}, nil
+}
+
+// planJoinRef plans an explicit join: the outer forms keep their dedicated
+// operators, INNER takes the same equi-join step as the comma form. ON
+// conjuncts that are not keys filter the joined rows.
+func (x *Exec) planJoinRef(t *TableRef) (*planNode, error) {
+	l, err := x.planRef(t.Join)
+	if err != nil {
+		return nil, err
+	}
+	r, err := x.planRef(t.Right)
+	if err != nil {
+		return nil, err
+	}
+	var conjuncts []Expr
+	if t.On != nil {
+		conjuncts = splitAnd(t.On)
+	}
+	used := make([]bool, len(conjuncts))
+	lCols, rCols, keys := joinKeys(conjuncts, used, l.sch, r.sch)
+	var n *planNode
+	switch {
+	case t.Kind == JoinInner:
+		n = x.joinNode(l, r, lCols, rCols, keys, l.analyzed && r.analyzed)
+	case len(lCols) == 0:
+		return nil, fmt.Errorf("sql: outer join requires equality conditions")
+	default:
+		n = &planNode{op: opOuterJoin, ref: t, sch: l.sch.Concat(r.sch), kids: []*planNode{l, r}, join: &joinPlan{lCols: lCols, rCols: rCols}}
+	}
+	return x.filterUnused(conjuncts, used, n), nil
+}
+
+// joinKeys claims the unused "column = column" conjuncts that bind one
+// column of each side (in either orientation) as equi-join keys.
+func joinKeys(conjuncts []Expr, used []bool, lSch, rSch schema.Schema) (lCols, rCols []int, keys []Expr) {
+	for ci, c := range conjuncts {
+		if used[ci] {
+			continue
+		}
+		b, ok := c.(*Binary)
+		if !ok || b.Op != "=" {
+			continue
+		}
+		lc, lok := b.L.(*ColRef)
+		rc, rok := b.R.(*ColRef)
+		if !lok || !rok {
+			continue
+		}
+		li, lerr := lSch.Resolve(lc.Table, lc.Name)
+		ri, rerr := rSch.Resolve(rc.Table, rc.Name)
+		if lerr != nil || rerr != nil {
+			li, lerr = lSch.Resolve(rc.Table, rc.Name)
+			ri, rerr = rSch.Resolve(lc.Table, lc.Name)
+		}
+		if lerr == nil && rerr == nil {
+			lCols, rCols, keys = append(lCols, li), append(rCols, ri), append(keys, c)
+			used[ci] = true
+		}
+	}
+	return lCols, rCols, keys
+}
+
+// joinNode is the one binary join step: a product when no key binds the
+// two sides, else an equi-join under the profile's algorithm for the
+// inputs' statistics. A plain catalog table on the build side of a hash
+// join serves its cached access structures — the engine's chooser says
+// which (both are revalidated against the probe-time rows inside the join).
+func (x *Exec) joinNode(l, r *planNode, lCols, rCols []int, keys []Expr, allAnalyzed bool) *planNode {
+	j := &joinPlan{lCols: lCols, rCols: rCols, keys: keys}
+	n := &planNode{op: opProduct, join: j, sch: l.sch.Concat(r.sch), kids: []*planNode{l, r}}
+	if len(lCols) == 0 {
+		return n
+	}
+	n.op, j.algo = opEquiJoin, x.Eng.Prof.JoinAlgo(allAnalyzed)
+	if j.algo == ra.HashJoin && r.tab != nil {
+		j.path = x.Eng.ChooseBuildSide(r.tab, rCols, -1)
+	}
+	return n
+}
+
+// filterUnused puts the conjuncts no join claimed as a key over in, as one
+// residual filter.
+func (x *Exec) filterUnused(conjuncts []Expr, used []bool, in *planNode) *planNode {
+	var residual Expr
+	for ci, c := range conjuncts {
+		if !used[ci] {
+			residual = andJoin(residual, c)
+		}
+	}
+	if residual == nil {
+		return in
+	}
+	return &planNode{op: opFilter, pred: residual, vec: x.vectorized(), sch: in.sch, kids: []*planNode{in}}
+}
+
+// projectNode plans the select list over in; "*" expands to in's columns.
+func (x *Exec) projectNode(items []SelectItem, in *planNode) *planNode {
+	n := &planNode{op: opProject, items: items, vec: x.vectorized(), kids: []*planNode{in}}
+	for i, it := range items {
+		if it.Star {
+			n.sch = append(n.sch, in.sch...)
+			continue
+		}
+		n.sch = append(n.sch, outColName(it, i, in.sch))
+	}
+	return n
+}
+
+func outColName(it SelectItem, i int, sch schema.Schema) schema.Column {
+	var col schema.Column
+	// Infer the type from a column reference (including the internal
+	// __aggN references that aggregate rewriting produces).
+	if cr, ok := it.Expr.(*ColRef); ok {
+		if idx, err := sch.Resolve(cr.Table, cr.Name); err == nil {
+			col.Type = sch[idx].Type
+		}
+	}
+	if it.Alias != "" {
+		col.Name = it.Alias
+		return col
+	}
+	if cr, ok := it.Expr.(*ColRef); ok {
+		// Keep the qualifier so ORDER BY / outer queries can still resolve
+		// the qualified form.
+		col.Table, col.Name = cr.Table, cr.Name
+		return col
+	}
+	col.Name = fmt.Sprintf("col%d", i+1)
+	return col
+}
+
+// planAggregate plans GROUP BY / global aggregation: aggregates inside the
+// select list and HAVING are computed per group, then the outer
+// expressions are projected over (group keys ++ aggregate results).
+func (x *Exec) planAggregate(s *SelectStmt, in *planNode) (*planNode, error) {
+	a := &aggPlan{groupCols: make([]int, len(s.GroupBy))}
+	// Group-by expressions that are not plain column references are
+	// computed into key columns appended to the input first.
+	computed := 0
+	for i, g := range s.GroupBy {
+		if cr, ok := g.(*ColRef); ok {
+			idx, err := in.sch.Resolve(cr.Table, cr.Name)
+			if err != nil {
+				return nil, err
+			}
+			a.groupCols[i] = idx
+			a.virtual = append(a.virtual, in.sch[idx])
+			continue
+		}
+		a.groupCols[i] = in.sch.Arity() + computed
+		computed++
+		a.virtual = append(a.virtual, schema.Column{Name: keyName(i)})
+	}
+	// Collect aggregate calls across select items and having.
+	collect := func(e Expr) Expr {
+		return rewrite(e, func(n Expr) Expr {
+			if f, ok := n.(*FuncCall); ok && f.IsAggregate() {
+				for i, prev := range a.calls {
+					if prev == f {
+						return &ColRef{Name: aggName(i)}
+					}
+				}
+				a.calls = append(a.calls, f)
+				return &ColRef{Name: aggName(len(a.calls) - 1)}
+			}
+			return n
+		})
+	}
+	// Select items and HAVING may repeat a group-by expression verbatim
+	// ("select b0+b1 from t group by b0+b1"): such subtrees resolve to the
+	// computed key column.
+	replaceKeys := func(e Expr) Expr {
+		return rewrite(e, func(n Expr) Expr {
+			for i, g := range s.GroupBy {
+				if _, isCol := g.(*ColRef); !isCol && exprEqual(n, g) {
+					return &ColRef{Name: keyName(i)}
+				}
+			}
+			return n
+		})
+	}
+	items := make([]SelectItem, len(s.Items))
+	for i, it := range s.Items {
+		if it.Star {
+			return nil, fmt.Errorf("sql: select * cannot be combined with aggregation")
+		}
+		alias := it.Alias
+		if alias == "" {
+			// A bare aggregate select item is named after its function.
+			if f, ok := it.Expr.(*FuncCall); ok && f.IsAggregate() {
+				alias = strings.ToLower(f.Name)
+			}
+		}
+		items[i] = SelectItem{Expr: replaceKeys(collect(it.Expr)), Alias: alias}
+	}
+	if s.Having != nil {
+		a.having = replaceKeys(collect(s.Having))
+	}
+	a.kinds = make([]ra.VecAggKind, len(a.calls))
+	for i, f := range a.calls {
+		if !f.Star && len(f.Args) != 1 {
+			return nil, fmt.Errorf("sql: aggregate %s takes one argument", f.Name)
+		}
+		col := schema.Column{Name: aggName(i), Type: value.KindFloat}
+		switch strings.ToLower(f.Name) {
+		case "sum":
+			a.kinds[i] = ra.VecSum
+		case "min":
+			a.kinds[i] = ra.VecMin
+		case "max":
+			a.kinds[i] = ra.VecMax
+		case "avg":
+			a.kinds[i] = ra.VecAvg
+		case "count":
+			col.Type = value.KindInt
+			a.kinds[i] = ra.VecCount
+			if f.Star {
+				a.kinds[i] = ra.VecCountStar
+			}
+		default:
+			return nil, fmt.Errorf("sql: unknown aggregate %q", f.Name)
+		}
+		a.virtual = append(a.virtual, col)
+	}
+	n := &planNode{op: opAggregate, stmt: s, agg: a, vec: x.vectorized(), sch: a.virtual, kids: []*planNode{in}}
+	return x.projectNode(items, n), nil
+}
+
+func aggName(i int) string { return fmt.Sprintf("__agg%d", i) }
+func keyName(i int) string { return fmt.Sprintf("__key%d", i) }
+
+// fromOrderPerm returns the column permutation that takes a relation
+// joined in the given source order back to FROM order, or nil when the
+// order already is FROM order (always, without a multiway core).
+func fromOrderPerm(srcs []*planNode, order []int) []int {
+	identity := true
+	for i, s := range order {
+		identity = identity && s == i
+	}
+	if identity {
+		return nil
+	}
+	offs := make([]int, len(srcs))
+	pos := 0
+	for _, s := range order {
+		offs[s] = pos
+		pos += srcs[s].sch.Arity()
+	}
+	perm := make([]int, 0, pos)
+	for s := range srcs {
+		for c := 0; c < srcs[s].sch.Arity(); c++ {
+			perm = append(perm, offs[s]+c)
+		}
+	}
+	return perm
+}
+
+// label is the node's one line in both EXPLAIN and EXPLAIN ANALYZE. est
+// adds the row-count estimate to scans — the plain EXPLAIN form; analyzed
+// plans omit it because the plans of a WITH+ loop are merged structurally
+// across iterations and the working table's size changes every iteration
+// (actual rows live in the node's Rows field instead).
+func (n *planNode) label(est bool) string {
+	switch n.op {
+	case opValues:
+		return "values (one row)"
+	case opScan:
+		kind, stats := "working table", "no statistics"
+		switch {
+		case n.delta:
+			kind = "Δ frontier"
+		case n.tab != nil && n.tab.Temp:
+			kind = "temp table"
+		case n.tab != nil:
+			kind = "base table"
+		}
+		if n.analyzed {
+			stats = "analyzed"
+		}
+		if !est {
+			return fmt.Sprintf("scan %s (%s, %s)", n.ref.DisplayName(), kind, stats)
+		}
+		rows := 0
+		if n.tab != nil {
+			rows = n.tab.Rows()
+		} else {
+			rows = n.over.Len()
+		}
+		return fmt.Sprintf("scan %s (%s, %d rows, %s)", n.ref.DisplayName(), kind, rows, stats)
+	case opSubquery:
+		return "subquery " + n.ref.DisplayName() + ":"
+	case opOuterJoin:
+		kind := "left outer"
+		if n.ref.Kind == JoinFullOuter {
+			kind = "full outer"
+		}
+		return fmt.Sprintf("%s join on %s", kind, ExprString(n.ref.On))
+	case opEquiJoin:
+		l := fmt.Sprintf("%s join on %s", n.join.algo, exprList(n.join.keys, " and "))
+		if n.join.path == engine.CachedCSR {
+			l += " via csr"
+		}
+		return l
+	case opProduct:
+		return "nested-loop product"
+	case opMultiway:
+		return fmt.Sprintf("multiway generic join on %s via wcoj", exprList(n.join.keys, " and "))
+	case opFilter:
+		return "filter " + ExprString(n.pred)
+	case opAggregate:
+		l := "hash aggregate (single group)"
+		if len(n.stmt.GroupBy) > 0 {
+			l = "hash aggregate on (" + exprList(n.stmt.GroupBy, ", ") + ")"
+		}
+		if n.stmt.Having != nil {
+			l += " having " + ExprString(n.stmt.Having)
+		}
+		return l
+	case opDistinct:
+		return "distinct"
+	case opSort:
+		parts := make([]string, len(n.stmt.OrderBy))
+		for i, o := range n.stmt.OrderBy {
+			parts[i] = ExprString(o.Expr)
+			if o.Desc {
+				parts[i] += " desc"
+			}
+		}
+		return "sort by " + strings.Join(parts, ", ")
+	case opLimit:
+		return fmt.Sprintf("limit %d", n.stmt.Limit)
+	case opSetOp:
+		return n.stmt.SetOp
+	}
+	return fmt.Sprintf("planOp(%d)", n.op)
+}

@@ -2,12 +2,10 @@ package sql
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/schema"
-	"repro/internal/value"
 )
 
 // This file compiles the SQL expression AST into the vectorized kernels of
@@ -201,48 +199,23 @@ func (x *Exec) compileVecConjunct(c Expr, sch schema.Schema) (ra.VecPred, bool, 
 	return ra.SelFromExpr(ex), fb, nil
 }
 
-// compileVecAggs compiles the collected aggregate calls into vector
-// aggregate specs. ok reports whether every aggregate is vectorizable (it
-// always is for the supported five; kept for future shapes); fellBack
-// reports row-fallback argument subtrees.
-func (x *Exec) compileVecAggs(aggCalls []*FuncCall, sch schema.Schema) (specs []ra.VecAggSpec, fellBack, ok bool, err error) {
-	specs = make([]ra.VecAggSpec, len(aggCalls))
-	for i, f := range aggCalls {
-		col := schema.Column{Name: aggName(i), Type: value.KindFloat}
+// compileVecAggs compiles the planned aggregate calls into vector aggregate
+// specs over their output columns; fellBack reports row-fallback argument
+// subtrees.
+func (x *Exec) compileVecAggs(calls []*FuncCall, kinds []ra.VecAggKind, cols schema.Schema, sch schema.Schema) (specs []ra.VecAggSpec, fellBack bool, err error) {
+	specs = make([]ra.VecAggSpec, len(calls))
+	for i, f := range calls {
 		var arg ra.VecExpr
 		if !f.Star {
-			if len(f.Args) != 1 {
-				return nil, false, false, fmt.Errorf("sql: aggregate %s takes one argument", f.Name)
-			}
 			var fb bool
-			arg, fb, err = x.compileVecExpr(f.Args[0], sch)
-			if err != nil {
-				return nil, false, false, err
+			if arg, fb, err = x.compileVecExpr(f.Args[0], sch); err != nil {
+				return nil, false, err
 			}
 			fellBack = fellBack || fb
 		}
-		var kind ra.VecAggKind
-		switch strings.ToLower(f.Name) {
-		case "sum":
-			kind = ra.VecSum
-		case "min":
-			kind = ra.VecMin
-		case "max":
-			kind = ra.VecMax
-		case "avg":
-			kind = ra.VecAvg
-		case "count":
-			col.Type = value.KindInt
-			kind = ra.VecCount
-			if f.Star {
-				kind = ra.VecCountStar
-			}
-		default:
-			return nil, false, false, nil
-		}
-		specs[i] = ra.VecAggSpec{Col: col, Kind: kind, Arg: arg}
+		specs[i] = ra.VecAggSpec{Col: cols[i], Kind: kinds[i], Arg: arg}
 	}
-	return specs, fellBack, true, nil
+	return specs, fellBack, nil
 }
 
 // vecPathNote annotates an analyzed plan node with the path that ran.

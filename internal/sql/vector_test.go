@@ -278,18 +278,3 @@ func TestVecRowStatementParity(t *testing.T) {
 		}
 	}
 }
-
-// TestVecCompileAggsUnknown pins the forward-compat escape hatch: an
-// unrecognized aggregate reports ok=false (row path takes over) rather than
-// erroring.
-func TestVecCompileAggsUnknown(t *testing.T) {
-	x := NewExec(engine.New(engine.OracleLike()))
-	sch := fuzzRelation(1).Sch
-	_, _, ok, err := x.compileVecAggs([]*FuncCall{{Name: "median", Args: []Expr{&ColRef{Name: "a"}}}}, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("unknown aggregate must report ok=false")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/ra"
-	"repro/internal/relation"
 	"repro/internal/schema"
 )
 
@@ -22,10 +21,14 @@ import (
 // precisely the conjuncts the binary plan would have used as keys, and the
 // output bag is identical either way.
 
-// wcojAtomPlan is one core source with its variable bindings.
+// wcojAtomPlan is one core source with its variable bindings. CSR is the
+// planner's access-path decision for the atom (the chooser itself is
+// schema-only and leaves it unset): read the table's cached (src, dst) CSR
+// as the sorted backing instead of building a trie.
 type wcojAtomPlan struct {
 	Src     int
 	VarCols []ra.WCOJVarCol
+	CSR     bool
 }
 
 // csrShape reports the (srcCol, dstCol) a cached CSR must have to serve as
@@ -45,15 +48,14 @@ func (p wcojAtomPlan) csrShape() (srcCol, dstCol int, ok bool) {
 
 // wcojPlan is the lowering decision: the cyclic core (ascending source
 // indexes), its atoms, the variable count (ids 0..NumVars-1 assigned in
-// elimination order, so Order is the identity), the consumed conjunct
-// indexes, and their rendered forms for EXPLAIN.
+// elimination order, so Order is the identity), and the consumed conjunct
+// indexes.
 type wcojPlan struct {
 	Core      []int
 	Atoms     []wcojAtomPlan
 	NumVars   int
 	Order     []int
 	Conjuncts []int
-	Keys      []string
 }
 
 // scol identifies one column of one FROM source.
@@ -309,76 +311,10 @@ func chooseWCOJ(schemas []schema.Schema, conjuncts []Expr, used []bool) *wcojPla
 	for _, e := range edges {
 		if inCore[e.a.src] && inCore[e.b.src] {
 			plan.Conjuncts = append(plan.Conjuncts, e.ci)
-			plan.Keys = append(plan.Keys, ExprString(conjuncts[e.ci]))
 		}
 	}
 	if len(plan.Conjuncts) < 3 {
 		return nil // a cycle needs at least three in-core keys
 	}
 	return plan
-}
-
-// planSchemas returns the qualified schemas of the FROM items when every
-// item is a plain named reference (catalog table or override) — the only
-// shapes the no-execution EXPLAIN path can resolve without running
-// subqueries. ok=false keeps the binary-only description.
-func (x *Exec) planSchemas(from []*TableRef) ([]schema.Schema, bool) {
-	out := make([]schema.Schema, len(from))
-	for i, t := range from {
-		if t.IsJoin() || t.Sub != nil || t.GraphTable != nil {
-			return nil, false
-		}
-		if r, ok := x.Override[t.Name]; ok {
-			out[i] = r.Sch.Qualify(t.DisplayName())
-			continue
-		}
-		tab, err := x.Eng.Cat.Get(t.Name)
-		if err != nil {
-			return nil, false
-		}
-		out[i] = tab.Sch.Qualify(t.DisplayName())
-	}
-	return out, true
-}
-
-// restoreFromOrder permutes the joined relation's columns from the actual
-// join order (core sources first, then tails in FROM order) back to FROM
-// order, so downstream projection and "select *" see the same column layout
-// the binary chain produces. An identity order returns the input untouched.
-func restoreFromOrder(r *relation.Relation, srcs []source, order []int) *relation.Relation {
-	identity := true
-	for i, s := range order {
-		if s != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		return r
-	}
-	offs := make([]int, len(srcs))
-	pos := 0
-	for _, s := range order {
-		offs[s] = pos
-		pos += srcs[s].rel.Sch.Arity()
-	}
-	perm := make([]int, 0, r.Sch.Arity())
-	for s := range srcs {
-		for c := 0; c < srcs[s].rel.Sch.Arity(); c++ {
-			perm = append(perm, offs[s]+c)
-		}
-	}
-	sch := make(schema.Schema, len(perm))
-	for i, p := range perm {
-		sch[i] = r.Sch[p]
-	}
-	out := relation.NewWithCap(sch, r.Len())
-	for _, tu := range r.Tuples {
-		nt := make(relation.Tuple, len(perm))
-		for i, p := range perm {
-			nt[i] = tu[p]
-		}
-		out.Tuples = append(out.Tuples, nt)
-	}
-	return out
 }

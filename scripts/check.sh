@@ -1,39 +1,23 @@
 #!/bin/sh
 # check.sh — the repo's fast verification gate:
-#   go vet over everything, the full test suite, a race-detector pass over
-#   the packages with parallel or concurrently-observed executor paths
-#   (ra, engine, graphsql), an API-hygiene grep gate, and the chaos and
-#   bench-overhead gates.
+#   go vet over everything, the full test suite (the benchmark's nested
+#   module included, plus a short run of the benchmark itself), a
+#   race-detector pass over the packages with parallel or
+#   concurrently-observed executor paths (ra, engine, graphsql), and the
+#   chaos and bench-overhead gates.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
 
-echo "== api hygiene (no deprecated session API outside graphsql)"
-# The context-first graphsql API replaced these; only graphsql itself
-# (deprecated.go + its tests) may still mention them. QueryContext is not
-# gated: database/sql legitimately defines it for driver conformance.
-if grep -rn 'QueryWithTrace\|RunContext\|\.Eng\b' \
-    cmd examples graphsql/driver 2>/dev/null \
-    | grep -v '_test.go.*deprecated'; then
-  echo "check: deprecated graphsql API (QueryWithTrace/RunContext/.Eng) used outside graphsql/" >&2
-  exit 1
-fi
-# The deprecated wrappers themselves live behind the graphsql_compat build
-# tag; any mention in graphsql outside the tagged files is a regression.
-if grep -rln 'QueryWithTrace\|RunContext' graphsql/*.go 2>/dev/null \
-    | while read -r f; do
-        head -1 "$f" | grep -q 'go:build graphsql_compat' || echo "$f"
-      done | grep .; then
-  echo "check: deprecated wrappers outside the graphsql_compat build tag" >&2
-  exit 1
-fi
-# The compat surface must still compile when the tag is on.
-go vet -tags graphsql_compat ./graphsql
-
 echo "== go test ./..."
 go test ./...
+
+echo "== benchmark module (its own tests + a short served run, exit status only)"
+# Tier-1 does not descend into the nested module.
+(cd benchmark && go test ./...)
+bash benchmark/run.sh -workload point -seconds 6 > /dev/null
 
 echo "== go test -race (parallel executor + concurrent-session packages)"
 go test -race ./internal/relation/... ./internal/ra/... ./internal/engine/... \
@@ -50,7 +34,7 @@ go test ./internal/catalog -run 'CSR' -count=1
 go test ./internal/withplus -run=NONE -fuzz FuzzCSRVsHash -fuzztime 5s
 
 echo "== vector smoke (vector vs row differentials + kernel bench + tiny A/B)"
-go test ./internal/sql -run 'VecRowStatementParity|VecCompileAggs' -count=1
+go test ./internal/sql -run 'VecRowStatementParity' -count=1
 go test ./internal/algos -run 'VectorVsRow' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzVectorVsRow -fuzztime 5s
 go test ./internal/ra -run=NONE -bench 'BenchmarkSelectVectorized|BenchmarkGroupByVectorized' -benchtime 1x
