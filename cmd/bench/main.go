@@ -1,15 +1,15 @@
 // Command bench regenerates the paper's tables and figures on the scaled
-// synthetic datasets.
+// synthetic datasets, runs the ablation experiments, and gates them.
 //
 // Usage:
 //
-//	bench -exp all            # everything (default)
+//	bench -exp all            # everything but the guard (default)
 //	bench -exp table4 -nodes 3000
 //	bench -exp fig11 -seed 7
+//	bench -exp csr -nocsr -json
+//	bench -exp guard          # every on/off pair vs BENCH.json, non-zero on a violation
 //
-// Experiments: table1 table2 table3 table4 table5 table6 table7 fig7 fig8
-// fig10 fig11 fig12 fig13 resources opcounts perf delta csr vector
-// motif concurrent.
+// bench -h lists the experiment names.
 package main
 
 import (
@@ -27,25 +27,24 @@ import (
 
 func main() {
 	var (
-		which      = flag.String("exp", "all", "experiment to run (all, table1..table7, fig7, fig8, fig10..fig13, resources, opcounts, perf, delta, csr, vector, motif, concurrent)")
+		which      = flag.String("exp", "all", "experiment to run: all, "+stepNames(false))
 		nodes      = flag.Int("nodes", 0, "scaled dataset node count (0 = default)")
 		seed       = flag.Int64("seed", 1, "dataset generator seed")
 		iters      = flag.Int("iters", 0, "fixed iterations for PR/HITS/LP (0 = paper's 15)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		workers    = flag.Int("workers", 1, "morsel-parallel probe workers (1 = serial, paper-faithful)")
-		nofusion   = flag.Bool("nofusion", false, "disable fused MV-/MM-join kernels and the index cache (A/B baseline)")
 		nodelta    = flag.Bool("nodelta", false, "disable delta-driven semi-naive evaluation in WITH+ (A/B baseline for the delta experiment)")
 		nocsr      = flag.Bool("nocsr", false, "disable the CSR adjacency access path (A/B baseline for the csr experiment)")
 		novector   = flag.Bool("novector", false, "disable the vectorized batch kernels (A/B baseline for the vector experiment)")
 		nowcoj     = flag.Bool("nowcoj", false, "disable the worst-case-optimal multiway join lowering (A/B baseline for the motif experiment)")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON (perf experiment)")
+		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON records ("+stepNames(true)+")")
 		observe    = flag.Bool("observe", false, "attach a span sink to every engine (observability overhead A/B)")
 		metrics    = flag.Bool("metrics", false, "dump the process-wide metrics registry as JSON after the run")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 	)
 	flag.Parse()
-	cfg := exp.Config{Nodes: *nodes, Seed: *seed, Iters: *iters, Workers: *workers, NoFusion: *nofusion, NoDelta: *nodelta, NoCSR: *nocsr, NoVector: *novector, NoWCOJ: *nowcoj, Observe: *observe}
+	cfg := exp.Config{Nodes: *nodes, Seed: *seed, Iters: *iters, Workers: *workers, NoDelta: *nodelta, NoCSR: *nocsr, NoVector: *novector, NoWCOJ: *nowcoj, Observe: *observe}
 	asCSV = *csv
 	asJSON = *jsonOut
 	if *cpuprofile != "" {
@@ -111,148 +110,103 @@ var (
 	asJSON bool
 )
 
+// step is one -exp name.
+type step struct {
+	name string
+	// manual steps run only when named, never under -exp all; records steps
+	// measure exp.Records and honour -json.
+	manual, records bool
+	f               func(exp.Config) error
+}
+
+func show(t *exp.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	if asCSV {
+		fmt.Println(t.CSV())
+	} else {
+		fmt.Println(t.String())
+	}
+	return nil
+}
+
+func showAll(ts []*exp.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	for _, t := range ts {
+		fmt.Println(t.String())
+	}
+	return nil
+}
+
+// steps lists every -exp name in -exp all order: the paper's tables and
+// figures, then the ablation experiments of exp.Experiments, then the guard.
+func steps() []step {
+	out := []step{
+		{name: "table1", f: func(exp.Config) error { return show(exp.Table1(), nil) }},
+		{name: "table2", f: func(exp.Config) error { return show(exp.Table2(), nil) }},
+		{name: "table3", f: func(cfg exp.Config) error { return show(exp.Table3(cfg), nil) }},
+		{name: "table4", f: func(cfg exp.Config) error { return show(exp.UnionByUpdateTable("WG", cfg)) }},
+		{name: "table5", f: func(cfg exp.Config) error { return show(exp.UnionByUpdateTable("PC", cfg)) }},
+		{name: "table6", f: func(cfg exp.Config) error { return show(exp.AntiJoinTable("WG", cfg)) }},
+		{name: "table7", f: func(cfg exp.Config) error { return show(exp.AntiJoinTable("PC", cfg)) }},
+		{name: "fig7", f: func(cfg exp.Config) error { return showAll(exp.GraphAlgosTable(true, cfg)) }},
+		{name: "fig8", f: func(cfg exp.Config) error { return showAll(exp.GraphAlgosTable(false, cfg)) }},
+		{name: "fig10", f: func(cfg exp.Config) error { return showAll(exp.IndexingTable(cfg)) }},
+		{name: "fig11", f: func(cfg exp.Config) error { return showAll(exp.VsSystemsTable(cfg)) }},
+		{name: "fig12", f: func(cfg exp.Config) error { return show(exp.WithVsWithPlusPR(cfg)) }},
+		{name: "fig13", f: func(cfg exp.Config) error { return showAll(exp.TCAndAPSPTables(cfg)) }},
+		{name: "resources", f: func(cfg exp.Config) error { return show(exp.ResourceTable(cfg)) }},
+		{name: "opcounts", f: func(cfg exp.Config) error { return show(exp.OperatorCountTable(cfg)) }},
+	}
+	for _, x := range exp.Experiments() {
+		out = append(out, step{name: x.Name, records: true, f: func(cfg exp.Config) error {
+			recs, err := x.Run(cfg)
+			if err != nil {
+				return err
+			}
+			if asJSON {
+				return exp.WriteJSON(os.Stdout, recs)
+			}
+			return show(x.Table(recs), nil)
+		}})
+	}
+	return append(out, step{name: "guard", manual: true, records: true, f: func(cfg exp.Config) error {
+		// The committed baseline holds every record of one guard run (default
+		// config, seed 1); -json prints this run's, which is how it is made
+		// (into a temporary file, then moved over BENCH.json).
+		recs, gerr := exp.Guard(cfg, "BENCH.json", os.Stderr)
+		if asJSON {
+			if err := exp.WriteJSON(os.Stdout, recs); err != nil {
+				return err
+			}
+		}
+		return gerr
+	}})
+}
+
+// stepNames lists the -exp names for the help text: all of them, or only the
+// ones that honour -json.
+func stepNames(recordsOnly bool) string {
+	var names []string
+	for _, s := range steps() {
+		if s.records || !recordsOnly {
+			names = append(names, s.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
 func run(which string, cfg exp.Config) error {
-	show := func(t *exp.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			fmt.Println(t.CSV())
-		} else {
-			fmt.Println(t.String())
-		}
-		return nil
-	}
-	showAll := func(ts []*exp.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		for _, t := range ts {
-			fmt.Println(t.String())
-		}
-		return nil
-	}
-	all := which == "all"
 	ran := false
-	step := func(name string, f func() error) error {
-		if !all && which != name {
-			return nil
+	for _, s := range steps() {
+		if which != s.name && (which != "all" || s.manual) {
+			continue
 		}
 		ran = true
-		return f()
-	}
-	steps := []struct {
-		name string
-		f    func() error
-	}{
-		{"table1", func() error { return show(exp.Table1(), nil) }},
-		{"table2", func() error { return show(exp.Table2(), nil) }},
-		{"table3", func() error { return show(exp.Table3(cfg), nil) }},
-		{"table4", func() error { return show(exp.UnionByUpdateTable("WG", cfg)) }},
-		{"table5", func() error { return show(exp.UnionByUpdateTable("PC", cfg)) }},
-		{"table6", func() error { return show(exp.AntiJoinTable("WG", cfg)) }},
-		{"table7", func() error { return show(exp.AntiJoinTable("PC", cfg)) }},
-		{"fig7", func() error { return showAll(exp.GraphAlgosTable(true, cfg)) }},
-		{"fig8", func() error { return showAll(exp.GraphAlgosTable(false, cfg)) }},
-		{"fig10", func() error { return showAll(exp.IndexingTable(cfg)) }},
-		{"fig11", func() error { return showAll(exp.VsSystemsTable(cfg)) }},
-		{"fig12", func() error { return show(exp.WithVsWithPlusPR(cfg)) }},
-		{"fig13", func() error { return showAll(exp.TCAndAPSPTables(cfg)) }},
-		{"resources", func() error { return show(exp.ResourceTable(cfg)) }},
-		{"opcounts", func() error { return show(exp.OperatorCountTable(cfg)) }},
-		{"perf", func() error {
-			recs, err := exp.PerfRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.PerfJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.PerfTable(recs), nil)
-		}},
-		{"delta", func() error {
-			recs, err := exp.DeltaRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.DeltaJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.DeltaTable(recs), nil)
-		}},
-		{"csr", func() error {
-			recs, err := exp.CSRRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.CSRJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.CSRTable(recs), nil)
-		}},
-		{"vector", func() error {
-			recs, err := exp.VectorRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.VectorJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.VectorTable(recs), nil)
-		}},
-		{"motif", func() error {
-			recs, err := exp.MotifRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.MotifJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.MotifTable(recs), nil)
-		}},
-		{"concurrent", func() error {
-			recs, err := exp.ConcurrentRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.ConcurrentJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.ConcurrentTable(recs), nil)
-		}},
-	}
-	for _, s := range steps {
-		if err := step(s.name, s.f); err != nil {
+		if err := s.f(cfg); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
 	}

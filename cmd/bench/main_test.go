@@ -1,7 +1,6 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -31,48 +30,31 @@ func TestRunCSVMode(t *testing.T) {
 	}
 }
 
-func TestRunPerfJSON(t *testing.T) {
-	asJSON = true
-	defer func() { asJSON = false }()
-	if err := run("perf", tiny()); err != nil {
-		t.Fatal(err)
+// TestEveryExperimentReachable ranges over the exported experiment table: an
+// experiment cannot exist without a step of its name that -exp all runs. The
+// guard is a step too, but never part of "all".
+func TestEveryExperimentReachable(t *testing.T) {
+	byName := map[string]step{}
+	for _, s := range steps() {
+		byName[s.name] = s
+	}
+	if g, ok := byName["guard"]; !ok || !g.manual {
+		t.Error("guard must be a step that -exp all skips")
+	}
+	for _, x := range exp.Experiments() {
+		if s, ok := byName[x.Name]; !ok || s.manual {
+			t.Errorf("experiment %s is not reachable from -exp (or hidden from -exp all)", x.Name)
+		}
 	}
 }
 
-func TestPerfRecordsShape(t *testing.T) {
-	cfg := tiny()
-	recs, err := exp.PerfRecords(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("no perf records")
-	}
-	for _, r := range recs {
-		if r.Name == "" || r.Profile == "" || r.Dataset == "" {
-			t.Errorf("incomplete record: %+v", r)
+// TestRunRecordModes drives one record experiment end to end in both output
+// modes (perf is the one whose scale follows -nodes all the way down).
+func TestRunRecordModes(t *testing.T) {
+	defer func() { asJSON = false }()
+	for _, asJSON = range []bool{false, true} {
+		if err := run("perf", tiny()); err != nil {
+			t.Errorf("perf (json=%v): %v", asJSON, err)
 		}
-		if r.NsOp <= 0 || r.Iterations <= 0 {
-			t.Errorf("non-positive timing/iters: %+v", r)
-		}
-		if !r.Fusion {
-			t.Errorf("default config must run fused: %+v", r)
-		}
-	}
-	s, err := exp.PerfJSON(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "\"index_builds\"") || !strings.Contains(s, "\"tuples_materialized\"") {
-		t.Error("JSON missing counter fields")
-	}
-	// The -nofusion baseline must flag itself.
-	cfg.NoFusion = true
-	recs2, err := exp.PerfRecords(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs2[0].Fusion {
-		t.Error("NoFusion config must emit fusion=false")
 	}
 }

@@ -109,23 +109,15 @@ func (c *Counters) Snapshot() CountersSnapshot {
 	}
 }
 
-// Engine is one RDBMS instance: a profile, a catalog over its own buffer
-// pool and WAL, and execution helpers that apply the profile's plan choices.
-type Engine struct {
-	Prof Profile
-	Cat  *catalog.Catalog
-	Cnt  Counters
-
+// PlanKnobs are the engine's plan-shaping switches. They are one value so
+// that a session inherits all of its root's at once (NewSession): a knob
+// added here cannot be forgotten there.
+type PlanKnobs struct {
 	// Parallelism is the worker count for the morsel-parallel probe paths
 	// (fused MV-/MM-join, hash-join probe partitioning). Values <= 1 run
 	// serial, keeping the paper-shape experiments byte-for-byte unchanged;
 	// cmd/bench exposes it as -workers.
 	Parallelism int
-
-	// DisableFusion forces the materialize-then-aggregate MV-/MM-join plan
-	// and fresh per-join index builds — the pre-fusion executor — for A/B
-	// measurements (cmd/bench -nofusion).
-	DisableFusion bool
 
 	// DisableCSR turns off the CSR adjacency access path: every join that
 	// would extend over a cached CSR probes the hash index instead — the
@@ -154,6 +146,15 @@ type Engine struct {
 	// -nowcoj and the differential suite. Results are bag-identical either
 	// way; only the intermediate sizes (and the WCOJ counters) change.
 	DisableWCOJ bool
+}
+
+// Engine is one RDBMS instance: a profile, a catalog over its own buffer
+// pool and WAL, and execution helpers that apply the profile's plan choices.
+type Engine struct {
+	Prof Profile
+	Cat  *catalog.Catalog
+	Cnt  Counters
+	PlanKnobs
 
 	// Limits are the per-statement resource budgets; BeginStatement arms a
 	// governor with them. The zero value means ungoverned.
@@ -507,10 +508,7 @@ type csrPeeker interface {
 // Floyd-Warshall's working matrix) fails every arm and keeps the hash path:
 // a CSR built per iteration would cost more than the probes it saves.
 func (e *Engine) csrUsable(temp, analyzed bool, t csrPeeker, srcCol, dstCol, wCol int) bool {
-	if e.DisableFusion || e.DisableCSR {
-		return false
-	}
-	return !temp || analyzed || t.CSR(srcCol, dstCol, wCol) != nil
+	return !e.DisableCSR && (!temp || analyzed || t.CSR(srcCol, dstCol, wCol) != nil)
 }
 
 // AccessPath is how a hash join (or a multiway-join atom) reaches the rows
@@ -518,7 +516,8 @@ func (e *Engine) csrUsable(temp, analyzed bool, t csrPeeker, srcCol, dstCol, wCo
 type AccessPath uint8
 
 const (
-	// FreshBuild builds a hash index (or trie) inside the operator.
+	// FreshBuild builds a hash index (or trie) inside the operator: the build
+	// side is not a catalog table, so there is no cache to serve it from.
 	FreshBuild AccessPath = iota
 	// CachedHash probes the table's version-keyed hash index.
 	CachedHash
@@ -529,14 +528,10 @@ const (
 
 // buildSide is the engine's one build-side rule, for its own joins and the
 // SQL planner alike: a covering CSR on a single-column key when affordable
-// (csrUsable), else the cached hash index; with fusion disabled (and with it
-// the index caches) a fresh build per join. dstCol is -1 for binary joins;
-// a multiway-join atom passes the (src, dst) shape it needs.
+// (csrUsable), else the cached hash index. dstCol is -1 for binary joins; a
+// multiway-join atom passes the (src, dst) shape it needs.
 func (e *Engine) buildSide(temp, analyzed bool, t csrPeeker, keyCols []int, dstCol int) AccessPath {
-	switch {
-	case e.DisableFusion:
-		return FreshBuild
-	case len(keyCols) == 1 && e.csrUsable(temp, analyzed, t, keyCols[0], dstCol, -1):
+	if len(keyCols) == 1 && e.csrUsable(temp, analyzed, t, keyCols[0], dstCol, -1) {
 		return CachedCSR
 	}
 	return CachedHash
@@ -609,7 +604,7 @@ func (e *Engine) joinSpec(a, b *catalog.View, aCols, bCols []int, sp *obs.Span) 
 			return spec, err
 		}
 		spec.RightCSR, spec.RightHash = csr, idx
-		if sp != nil && path != FreshBuild {
+		if sp != nil {
 			sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
 		}
 	}
@@ -707,6 +702,7 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 	if e.sink != nil {
 		sp = &obs.Span{Op: "mv-join", Note: av.Name + " ⋈ " + cv.Name, Start: time.Now()}
 	}
+	sch := schema.Schema{{Name: "ID", Type: ar.Sch[aKeep].Type}, {Name: "vw"}}
 	if e.fusible(av, cv) {
 		var out *relation.Relation
 		var hit bool
@@ -737,10 +733,7 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 			out = ra.FusedMVJoin(ar, cr, idx, dict, ac, cc, aKeep, sr, e.Parallelism, e.gov, sp)
 			algo = "fused-hash"
 		}
-		out.Sch = schema.Schema{
-			{Name: "ID", Type: ar.Sch[aKeep].Type},
-			{Name: "vw"},
-		}
+		out.Sch = sch
 		if sp != nil {
 			sp.Algo = algo
 			sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
@@ -754,7 +747,7 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 	if err != nil {
 		return nil, err
 	}
-	out, err = e.mvJoinWithSpec(ar, cr, ac, cc, aJoin, aKeep, sr, spec)
+	out, err = e.aggJoin(ar, cr, spec, ac.W, ar.Sch.Arity()+cc.W, []int{aKeep}, sch, sr)
 	if err != nil {
 		return nil, err
 	}
@@ -788,6 +781,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 	if e.sink != nil {
 		sp = &obs.Span{Op: "mm-join", Note: av.Name + " ⋈ " + bv.Name, Start: time.Now()}
 	}
+	sch := schema.Schema{{Name: "F", Type: ar.Sch[aKeep].Type}, {Name: "T", Type: br.Sch[bKeep].Type}, {Name: "ew"}}
 	if e.fusible(av, bv) {
 		idxOnLeft := av.Analyzed && !bv.Analyzed
 		bldView, bldJoin, bldW := bv, bJoin, bc.W
@@ -814,11 +808,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 			out = ra.FusedMMJoin(ar, br, idx, idxOnLeft, ac, bc, aJoin, aKeep, bJoin, bKeep, sr, e.Parallelism, e.gov, sp)
 			algo = "fused-hash"
 		}
-		out.Sch = schema.Schema{
-			{Name: "F", Type: ar.Sch[aKeep].Type},
-			{Name: "T", Type: br.Sch[bKeep].Type},
-			{Name: "ew"},
-		}
+		out.Sch = sch
 		if sp != nil {
 			sp.Algo = algo
 			sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
@@ -832,7 +822,8 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 	if err != nil {
 		return nil, err
 	}
-	out, err = e.mmJoinWithSpec(ar, br, ac, bc, aJoin, aKeep, bJoin, bKeep, sr, spec)
+	bOff := ar.Sch.Arity()
+	out, err = e.aggJoin(ar, br, spec, ac.W, bOff+bc.W, []int{aKeep, bOff + bKeep}, sch, sr)
 	if err != nil {
 		return nil, err
 	}
@@ -849,7 +840,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 // the PostgreSQL-like profile keep the materializing path so the paper's
 // plan-choice experiments (Fig. 10) still measure what they measured.
 func (e *Engine) fusible(a, b *catalog.View) bool {
-	return !e.DisableFusion && e.Prof.JoinAlgo(a.Analyzed && b.Analyzed) == ra.HashJoin
+	return e.Prof.JoinAlgo(a.Analyzed && b.Analyzed) == ra.HashJoin
 }
 
 // AntiJoin computes r ▷ s between two tables with the chosen SQL
@@ -989,73 +980,34 @@ func (e *Engine) UnionByUpdate(target string, s *relation.Relation, keyCols []in
 	return delta, e.StoreInto(target, updated)
 }
 
-// mvJoinWithSpec mirrors ra.MVJoin but honors a caller-supplied join spec —
-// the materializing (non-fused) plan, counting the join intermediate. With
-// Parallelism > 1 on a hash plan it runs the partitioned probe and parallel
-// ⊕-group-by instead of the serial operators.
-func (e *Engine) mvJoinWithSpec(ar, cr *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, spec ra.EquiJoinSpec) (*relation.Relation, error) {
-	var joined *relation.Relation
-	if e.Parallelism > 1 && spec.Algo == ra.HashJoin {
-		joined = ra.EquiJoinParallel(ar, cr, spec, e.Parallelism)
-	} else {
-		joined = ra.EquiJoin(ar, cr, spec)
-	}
+// aggJoin is the materializing aggregate-join the sort-merge profiles keep
+// (ra.MVJoin / ra.MMJoin under a caller-supplied join spec): join, count the
+// intermediate, then ⊕-group-by groupCols over l.lW ⊙ r.rW. rW and groupCols
+// index the joined (l ++ r) tuple; sch names the output, aggregate last.
+func (e *Engine) aggJoin(l, r *relation.Relation, spec ra.EquiJoinSpec, lW, rW int, groupCols []int, sch schema.Schema, sr semiring.Semiring) (*relation.Relation, error) {
+	joined := ra.EquiJoin(l, r, spec)
 	if err := e.ChargeMaterialized(joined); err != nil {
 		return nil, err
 	}
 	if spec.Span != nil {
 		spec.Span.BytesMaterialized = int64(joined.Len()) * int64(joined.Sch.Arity()) * 16
 	}
-	cOff := ar.Sch.Arity()
-	agg := ra.SemiringAgg(schema.Column{Name: "vw"}, sr, func(t relation.Tuple) (value.Value, error) {
-		return sr.Times(t[ac.W], t[cOff+cc.W]), nil
+	agg := ra.SemiringAgg(schema.Column{Name: sch[len(groupCols)].Name}, sr, func(t relation.Tuple) (value.Value, error) {
+		return sr.Times(t[lW], t[rW]), nil
 	})
-	out, err := e.groupBySpec(joined, []int{aKeep}, agg, sr, 1)
+	out, err := e.groupBySpec(joined, groupCols, agg, sr)
 	if err != nil {
 		return nil, err
 	}
-	out.Sch = schema.Schema{
-		{Name: "ID", Type: ar.Sch[aKeep].Type},
-		{Name: "vw"},
-	}
-	return out, nil
-}
-
-// mmJoinWithSpec mirrors ra.MMJoin but honors a caller-supplied join spec;
-// see mvJoinWithSpec.
-func (e *Engine) mmJoinWithSpec(ar, br *relation.Relation, ac, bc ra.MatCols, aJoin, aKeep, bJoin, bKeep int, sr semiring.Semiring, spec ra.EquiJoinSpec) (*relation.Relation, error) {
-	var joined *relation.Relation
-	if e.Parallelism > 1 && spec.Algo == ra.HashJoin {
-		joined = ra.EquiJoinParallel(ar, br, spec, e.Parallelism)
-	} else {
-		joined = ra.EquiJoin(ar, br, spec)
-	}
-	if err := e.ChargeMaterialized(joined); err != nil {
-		return nil, err
-	}
-	if spec.Span != nil {
-		spec.Span.BytesMaterialized = int64(joined.Len()) * int64(joined.Sch.Arity()) * 16
-	}
-	bOff := ar.Sch.Arity()
-	agg := ra.SemiringAgg(schema.Column{Name: "ew"}, sr, func(t relation.Tuple) (value.Value, error) {
-		return sr.Times(t[ac.W], t[bOff+bc.W]), nil
-	})
-	out, err := e.groupBySpec(joined, []int{aKeep, bOff + bKeep}, agg, sr, 2)
-	if err != nil {
-		return nil, err
-	}
-	out.Sch = schema.Schema{
-		{Name: "F", Type: ar.Sch[aKeep].Type},
-		{Name: "T", Type: br.Sch[bKeep].Type},
-		{Name: "ew"},
-	}
+	out.Sch = sch
 	return out, nil
 }
 
 // groupBySpec runs the ⊕-group-by of the materializing MV-/MM-join plan,
-// parallel when Parallelism > 1. aggCol is the aggregate's position in the
-// output tuples (== number of group columns).
-func (e *Engine) groupBySpec(joined *relation.Relation, groupCols []int, agg ra.AggSpec, sr semiring.Semiring, aggCol int) (*relation.Relation, error) {
+// parallel when Parallelism > 1. The aggregate follows the group columns in
+// the output tuples.
+func (e *Engine) groupBySpec(joined *relation.Relation, groupCols []int, agg ra.AggSpec, sr semiring.Semiring) (*relation.Relation, error) {
+	aggCol := len(groupCols)
 	if e.Parallelism > 1 {
 		return ra.SemiringGroupByParallel(joined, groupCols, agg, func(acc, t relation.Tuple) error {
 			a, b := acc[aggCol], t[aggCol]

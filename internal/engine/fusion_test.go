@@ -137,78 +137,47 @@ func TestMVJoinIndexCacheCounters(t *testing.T) {
 	}
 }
 
-// TestDisableFusionMaterializesAndRebuilds pins the -nofusion A/B baseline:
-// the legacy plan materializes the join intermediate and rebuilds the build
-// side every iteration (no cache hits charged).
-func TestDisableFusionMaterializesAndRebuilds(t *testing.T) {
-	e := New(OracleLike())
-	e.DisableFusion = true
-	if _, err := e.LoadBase("E", edgeRel(cycleEdges(8))); err != nil {
-		t.Fatal(err)
-	}
-	vsch := schema.Schema{{Name: "ID", Type: value.KindInt}, {Name: "vw", Type: value.KindFloat}}
-	if _, err := e.CreateTemp("V", vsch); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StoreInto("V", nodeRel(8, func(int) float64 { return 1 })); err != nil {
-		t.Fatal(err)
-	}
-	et, _ := e.Cat.Get("E")
-	vt, _ := e.Cat.Get("V")
-	for it := 0; it < 3; it++ {
-		if _, err := e.MVJoin(et, vt, ra.EdgeMat(), ra.NodeVec(), 0, 1, semiring.PlusTimes()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Cnt.IndexBuilds != 0 || e.Cnt.IndexCacheHits != 0 {
-		t.Errorf("disabled fusion must not touch the index cache: builds=%d hits=%d",
-			e.Cnt.IndexBuilds, e.Cnt.IndexCacheHits)
-	}
-	if e.Cnt.TuplesMaterialized == 0 {
-		t.Error("legacy plan must count materialized join tuples")
-	}
-}
-
-// TestFusedMatchesLegacyAcrossProfiles runs the same MV- and MM-joins on a
-// fused engine and a DisableFusion engine for every profile and semiring; the
+// TestFusedMatchesLegacyAcrossProfiles runs the same MV- and MM-joins
+// through the engine on every profile (fused kernels on the hash profiles,
+// the materializing sort-merge plan on the PostgreSQL-like one) and semiring,
+// against the plain ra.MVJoin / ra.MMJoin operators as the reference; the
 // results must agree (exactly for the discrete semirings, within 1e-9 for the
 // float-summing one).
 func TestFusedMatchesLegacyAcrossProfiles(t *testing.T) {
 	edges := cycleEdges(12)
+	eRel := edgeRel(edges)
+	vRel := nodeRel(12, func(i int) float64 { return float64(i%3 + 1) })
 	for _, prof := range allProfiles() {
 		for _, sr := range semiring.All() {
-			fused := New(prof)
-			legacy := New(prof)
-			legacy.DisableFusion = true
-			var mvF, mvL map[int64]float64
-			var mmF, mmL map[[2]int64]float64
-			for _, e := range []*Engine{fused, legacy} {
-				if _, err := e.LoadBase("E", edgeRel(edges)); err != nil {
-					t.Fatal(err)
-				}
-				vsch := schema.Schema{{Name: "ID", Type: value.KindInt}, {Name: "vw", Type: value.KindFloat}}
-				if _, err := e.CreateTemp("V", vsch); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.StoreInto("V", nodeRel(12, func(i int) float64 { return float64(i%3 + 1) })); err != nil {
-					t.Fatal(err)
-				}
-				et, _ := e.Cat.Get("E")
-				vt, _ := e.Cat.Get("V")
-				mv, err := e.MVJoin(et, vt, ra.EdgeMat(), ra.NodeVec(), 1, 0, sr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mm, err := e.MMJoin(et, et, ra.EdgeMat(), ra.EdgeMat(), 1, 0, 0, 1, sr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e == fused {
-					mvF, mmF = mvMap(mv), mmMap(mm)
-				} else {
-					mvL, mmL = mvMap(mv), mmMap(mm)
-				}
+			e := New(prof)
+			if _, err := e.LoadBase("E", eRel); err != nil {
+				t.Fatal(err)
 			}
+			if _, err := e.CreateTemp("V", vRel.Sch); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.StoreInto("V", vRel); err != nil {
+				t.Fatal(err)
+			}
+			et, _ := e.Cat.Get("E")
+			vt, _ := e.Cat.Get("V")
+			mv, err := e.MVJoin(et, vt, ra.EdgeMat(), ra.NodeVec(), 1, 0, sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mm, err := e.MMJoin(et, et, ra.EdgeMat(), ra.EdgeMat(), 1, 0, 0, 1, sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refMV, err := ra.MVJoin(eRel, vRel, ra.EdgeMat(), ra.NodeVec(), 1, 0, sr, ra.HashJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refMM, err := ra.MMJoin(eRel, eRel, ra.EdgeMat(), ra.EdgeMat(), 1, 0, 0, 1, sr, ra.HashJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mvF, mvL, mmF, mmL := mvMap(mv), mvMap(refMV), mmMap(mm), mmMap(refMM)
 			if len(mvF) != len(mvL) || len(mmF) != len(mmL) {
 				t.Fatalf("%s/%s: group counts differ (mv %d vs %d, mm %d vs %d)",
 					prof.Name, sr.Name, len(mvF), len(mvL), len(mmF), len(mmL))
@@ -223,20 +192,25 @@ func TestFusedMatchesLegacyAcrossProfiles(t *testing.T) {
 					t.Fatalf("%s/%s: mm[%v] = %g, want %g", prof.Name, sr.Name, k, mmF[k], w)
 				}
 			}
+			// Path proof: the hash profiles fold without materializing, the
+			// sort-merge profile keeps the materializing plan.
+			if hash := prof.JoinAlgo(false) == ra.HashJoin; hash != (e.Cnt.TuplesMaterialized == 0) {
+				t.Errorf("%s/%s: hash plan %v but %d join tuples materialized",
+					prof.Name, sr.Name, hash, e.Cnt.TuplesMaterialized)
+			}
 		}
 	}
 }
 
-// TestParallelismMatchesSerial runs the fused and legacy paths with
-// Parallelism well above 1 and checks against the serial engine.
+// TestParallelismMatchesSerial runs the fused path (Oracle-like) and the
+// materializing sort-merge path (PostgreSQL-like) with Parallelism well above
+// 1 and checks against the serial engine.
 func TestParallelismMatchesSerial(t *testing.T) {
 	edges := cycleEdges(40)
-	for _, nofusion := range []bool{false, true} {
-		serial := New(OracleLike())
-		par := New(OracleLike())
+	for _, prof := range []Profile{OracleLike(), PostgresLike(false)} {
+		serial := New(prof)
+		par := New(prof)
 		par.Parallelism = 4
-		serial.DisableFusion = nofusion
-		par.DisableFusion = nofusion
 		var mvS, mvP map[int64]float64
 		for _, e := range []*Engine{serial, par} {
 			if _, err := e.LoadBase("E", edgeRel(edges)); err != nil {
@@ -270,11 +244,11 @@ func TestParallelismMatchesSerial(t *testing.T) {
 			}
 		}
 		if len(mvS) != len(mvP) {
-			t.Fatalf("nofusion=%v: group counts differ", nofusion)
+			t.Fatalf("%s: group counts differ", prof.Name)
 		}
 		for id, w := range mvS {
 			if math.Abs(mvP[id]-w) > 1e-9 {
-				t.Fatalf("nofusion=%v: mv[%d] = %g, want %g", nofusion, id, mvP[id], w)
+				t.Fatalf("%s: mv[%d] = %g, want %g", prof.Name, id, mvP[id], w)
 			}
 		}
 	}

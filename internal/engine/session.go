@@ -14,27 +14,25 @@ package engine
 // (`engine.statements{session=label}`); it should be unique per session and
 // bounded in cardinality (connection IDs, not request IDs).
 //
-// Plan-shaping knobs (Parallelism, DisableFusion, DisableDelta) and Limits
-// are copied from the root at creation; the session may change its own copy
-// (e.g. per-session budgets) without affecting anyone else.
+// The plan-shaping knobs (PlanKnobs, as one value) and Limits are copied from
+// the root at creation; the session may change its own copy (e.g.
+// per-session budgets) without affecting anyone else.
 func (e *Engine) NewSession(label string) *Engine {
 	root := e
 	if e.root != nil {
 		root = e.root
 	}
 	return &Engine{
-		Prof:          root.Prof,
-		Cat:           root.Cat.Session(),
-		Parallelism:   root.Parallelism,
-		DisableFusion: root.DisableFusion,
-		DisableDelta:  root.DisableDelta,
-		Limits:        root.Limits,
-		disk:          root.disk,
-		pool:          root.pool,
-		wal:           root.wal,
-		frames:        root.frames,
-		session:       label,
-		root:          root,
+		Prof:      root.Prof,
+		Cat:       root.Cat.Session(),
+		PlanKnobs: root.PlanKnobs,
+		Limits:    root.Limits,
+		disk:      root.disk,
+		pool:      root.pool,
+		wal:       root.wal,
+		frames:    root.frames,
+		session:   label,
+		root:      root,
 	}
 }
 

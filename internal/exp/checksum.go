@@ -1,8 +1,8 @@
-// Checksum helpers shared by the experiment records and the bench gates.
-// The csr, vector, motif, and concurrent experiments all pin result
-// checksums in their committed baselines; one definition here keeps the
-// scheme from drifting between them (scripts/bench_guard.sh compares these
-// strings byte-for-byte across on/off runs).
+// Checksum helpers shared by the experiment records and the bench guard.
+// The delta, csr, vector, motif, and concurrent experiments all pin result
+// checksums in the committed BENCH.json; one definition here keeps the
+// scheme from drifting between them (the guard compares these strings
+// byte-for-byte across on/off runs).
 package exp
 
 import (

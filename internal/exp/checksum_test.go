@@ -9,7 +9,7 @@ import (
 )
 
 // TestChecksumPinned pins the shared checksum scheme to exact outputs: the
-// committed BENCH_*.json baselines and the bench_guard gates compare these
+// committed BENCH.json baseline and the bench guard compare these
 // strings byte-for-byte, so a silent change to the fold (separator, hash
 // function, rendering) must fail here first.
 func TestChecksumPinned(t *testing.T) {

@@ -1,61 +1,14 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
-	"time"
-
 	"repro/internal/algos"
-	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/relation"
-	"repro/internal/withplus"
 )
 
-// CSRRecord is one measurement of the CSR experiment, emitted by
-// cmd/bench -exp csr -json. The experiment runs frontier-heavy workloads —
-// recursions whose per-iteration work is dominated by probing an immutable
-// edge table with a frontier — with the CSR adjacency access path on
-// (default) and off (-nocsr). Committed BENCH_csr_on.json/BENCH_csr_off.json
-// pair the two; scripts/bench_guard.sh gates on the speedup, on checksum
-// identity (the CSR path must be byte-identical to the hash path), and on
-// CSRBuilds staying ≤ 1 per recursion (one build amortized over every
-// iteration, appends extending it in place).
-type CSRRecord struct {
-	Name           string  `json:"name"`
-	Profile        string  `json:"profile"`
-	Nodes          int     `json:"nodes"`
-	Edges          int     `json:"edges"`
-	CSR            bool    `json:"csr"`
-	Iterations     int     `json:"iterations"`
-	NsOp           int64   `json:"ns_op"`
-	Millis         float64 `json:"ms"`
-	RowsFinal      int     `json:"rows_final"`
-	Checksum       string  `json:"checksum"`
-	Joins          int64   `json:"joins"`
-	CSRBuilds      int64   `json:"csr_builds"`
-	CSRCacheHits   int64   `json:"csr_cache_hits"`
-	IndexBuilds    int64   `json:"index_builds"`
-	IndexCacheHits int64   `json:"index_cache_hits"`
-}
-
-// csrWorkload is one frontier-heavy benchmark: a name, a graph, and a
-// runner that executes it on a fresh engine, returning the final relation
-// and the iteration count.
-type csrWorkload struct {
-	name string
-	g    *graph.Graph
-	run  func(e *engine.Engine, g *graph.Graph) (*relation.Relation, int, error)
-}
-
-// csrNodes picks the experiment's graph size: the configured node count,
-// floored high enough that the per-iteration join dominates fixed costs.
-func csrNodes(cfg Config) int {
-	if cfg.Nodes < 5000 {
-		return 5000
-	}
-	return cfg.Nodes
-}
+// abNodes floors the csr, vector, and motif graphs at the reference scale of
+// their committed baselines, high enough that the per-iteration join or scan
+// dominates fixed costs (parse, plan, catalog lookups).
+func abNodes(cfg Config) int { return max(cfg.Nodes, 5000) }
 
 // csrAvgDegree shapes the random graph for the vector workloads. Frontiers
 // here are thousands of rows wide (unlike the delta experiment's chains,
@@ -73,148 +26,43 @@ const csrAvgDegree = 16
 const csrTCDegree = 3
 const csrTCDepth = 3
 
-// csrReps is the number of timed repetitions per cell; the record keeps the
-// minimum (wall-clock noise on shared machines is one-sided — the fastest
-// repetition is the least disturbed one). Counters and checksums come from
-// the first repetition.
-const csrReps = 5
-
-func csrGraph(cfg Config) *graph.Graph {
-	n := csrNodes(cfg)
-	return graph.Generate(graph.GenSpec{
-		N: n, M: n * csrAvgDegree, Directed: true, Skew: 2.5, Seed: cfg.Seed,
-	})
-}
-
-func csrTCGraph(cfg Config) *graph.Graph {
-	n := csrNodes(cfg) / 2
-	return graph.GenerateDAG(n, n*csrTCDegree, cfg.Seed)
-}
-
-// runWithPlus loads the graph and executes a WITH+ statement (the SQL
-// equi-join frontier path).
-func runWithPlus(query string) func(e *engine.Engine, g *graph.Graph) (*relation.Relation, int, error) {
-	return func(e *engine.Engine, g *graph.Graph) (*relation.Relation, int, error) {
-		if _, err := e.LoadBase("E", g.EdgeRelation()); err != nil {
-			return nil, 0, err
-		}
-		if _, err := e.LoadBase("V", g.NodeRelation(nil)); err != nil {
-			return nil, 0, err
-		}
-		res, trace, err := withplus.Run(e, query)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, trace.Iterations, nil
-	}
-}
-
-func csrWorkloads(cfg Config) []csrWorkload {
-	g := csrGraph(cfg)
-	return []csrWorkload{
-		// The SQL frontier path: Δ ⋈ E equi-joins inside WITH+ recursion.
-		{name: "REACH", g: g, run: runWithPlus(reachSQL(0))},
-		{name: "TC", g: csrTCGraph(cfg), run: runWithPlus(algos.TCSQL(csrTCDepth))},
-		// The fused MV-join path: vector × edge-matrix fixpoints.
-		{name: "BFS", g: g, run: func(e *engine.Engine, g *graph.Graph) (*relation.Relation, int, error) {
-			res, err := algos.RunBFS(e, g, algos.Params{Source: 0})
-			if err != nil {
-				return nil, 0, err
-			}
-			return res.Rel, res.Iterations, nil
-		}},
-		{name: "PR", g: g, run: func(e *engine.Engine, g *graph.Graph) (*relation.Relation, int, error) {
-			res, err := algos.RunPageRank(e, g, algos.Params{Iters: cfg.Iters})
-			if err != nil {
-				return nil, 0, err
-			}
-			return res.Rel, res.Iterations, nil
-		}},
-	}
-}
-
-// CSRRecords measures the CSR experiment: each frontier-heavy workload on
-// every profile, under the config's executor knobs (cfg.NoCSR selects the
-// hash-path baseline). One record per (workload, profile). The
-// PostgreSQL-like profile plans sort-merge joins for unanalyzed temps, so
-// its cells move little either way — the access path is plan-dependent,
-// which is the point of keeping them in the table.
-func CSRRecords(cfg Config) ([]CSRRecord, error) {
-	cfg = cfg.defaults()
-	var out []CSRRecord
-	for _, w := range csrWorkloads(cfg) {
-		g := w.g
-		for _, prof := range profiles() {
-			var (
-				e       *engine.Engine
-				rel     *relation.Relation
-				iters   int
-				elapsed time.Duration
-			)
-			for rep := 0; rep < csrReps; rep++ {
-				re := newEngine(prof, cfg)
-				start := time.Now()
-				r, it, err := w.run(re, g)
-				if err != nil {
-					return nil, fmt.Errorf("csr: %s on %s: %w", w.name, prof.Name, err)
-				}
-				d := time.Since(start)
-				if rep == 0 {
-					e, rel, iters = re, r, it
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			out = append(out, CSRRecord{
-				Name:           w.name,
-				Profile:        prof.Name,
-				Nodes:          g.N,
-				Edges:          g.M(),
-				CSR:            !cfg.NoCSR,
-				Iterations:     iters,
-				NsOp:           elapsed.Nanoseconds(),
-				Millis:         float64(elapsed.Microseconds()) / 1000.0,
-				RowsFinal:      rel.Len(),
-				Checksum:       RelChecksum(rel),
-				Joins:          e.Cnt.Joins,
-				CSRBuilds:      e.Cnt.CSRBuilds,
-				CSRCacheHits:   e.Cnt.CSRCacheHits,
-				IndexBuilds:    e.Cnt.IndexBuilds,
-				IndexCacheHits: e.Cnt.IndexCacheHits,
-			})
-		}
-	}
-	return out, nil
-}
-
-// CSRJSON renders the records as indented JSON (the -json output format).
-func CSRJSON(recs []CSRRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// CSRTable renders the records as a Table for the default text output.
-func CSRTable(recs []CSRRecord) *Table {
-	t := &Table{
-		Title: "CSR: adjacency access path vs cached hash index",
-		Header: []string{
-			"Workload", "Profile", "csr", "iters", "time (ms)", "|R| final",
-			"checksum", "joins", "csr builds", "csr hits", "idx builds", "idx hits",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile, fmt.Sprintf("%v", r.CSR),
-			fmt.Sprintf("%d", r.Iterations), fmt.Sprintf("%.1f", r.Millis),
-			fmt.Sprintf("%d", r.RowsFinal), r.Checksum,
-			fmt.Sprintf("%d", r.Joins), fmt.Sprintf("%d", r.CSRBuilds),
-			fmt.Sprintf("%d", r.CSRCacheHits), fmt.Sprintf("%d", r.IndexBuilds),
-			fmt.Sprintf("%d", r.IndexCacheHits),
-		})
-	}
-	return t
+// csrExp runs frontier-heavy workloads — recursions whose per-iteration work
+// is dominated by probing an immutable edge table with a frontier — with the
+// CSR adjacency access path on (default) and off (-nocsr). The CSR path must
+// be byte-identical to the hash path, with one CSR build amortized over every
+// iteration (appends extend it in place). The fused vector workloads (BFS,
+// PR) carry the speedup; the SQL-path cells (TC, REACH) are dominated by
+// join-output materialization and dedup, and the PostgreSQL-like profile
+// plans sort-merge joins for unanalyzed temps, so those cells gate on
+// correctness and build counts, not speed — the access path is
+// plan-dependent, which is the point of keeping them in the table.
+var csrExp = &Experiment{
+	Name:  "csr",
+	Title: "CSR: adjacency access path vs cached hash index",
+	Reps:  5,
+	Knob:  func(c *Config) *bool { return &c.NoCSR },
+	Columns: []string{"name", "profile", "off", "iterations", "ms", "rows_final", "checksum",
+		"joins", "csr_builds", "csr_cache_hits", "index_builds", "index_cache_hits"},
+	Gate: Rule{
+		OnAtMost:  map[string]int64{"csr_builds": 1},
+		OffUnused: []string{"csr_builds", "csr_cache_hits"},
+		Speedup:   1.5,
+		Carries:   hashProfile,
+		MinFast:   2,
+	},
+	cells: func(cfg Config) ([]cell, error) {
+		cfg = cfg.defaults()
+		n := abNodes(cfg)
+		g := graph.Generate(graph.GenSpec{N: n, M: n * csrAvgDegree, Directed: true, Skew: 2.5, Seed: cfg.Seed})
+		dag := graph.GenerateDAG(n/2, n/2*csrTCDegree, cfg.Seed)
+		rec := func(name string, g *graph.Graph) Record { return Record{Name: name, Nodes: g.N, Edges: g.M()} }
+		return engineCells(cfg, profiles(), []workload{
+			// The SQL frontier path: Δ ⋈ E equi-joins inside WITH+ recursion.
+			{rec("REACH", g), runWithPlus(reachSQL(0), g.EdgeRelation(), g.NodeRelation(nil))},
+			{rec("TC", dag), runWithPlus(algos.TCSQL(csrTCDepth), dag.EdgeRelation(), dag.NodeRelation(nil))},
+			// The fused MV-join path: vector × edge-matrix fixpoints.
+			{rec("BFS", g), runAlgo(algos.RunBFS, g, algos.Params{Source: 0})},
+			{rec("PR", g), runAlgo(algos.RunPageRank, g, algos.Params{Iters: cfg.Iters})},
+		}), nil
+	},
 }

@@ -1,63 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/algos"
-	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/withplus"
 )
-
-// DeltaRecord is one measurement of the delta experiment, emitted by
-// cmd/bench -exp delta -json. The experiment runs accumulation-style
-// recursion (transitive closure and single-source reachability — the
-// workloads where semi-naive evaluation pays) through the WITH+ pipeline
-// and reports wall time plus the executor counters that expose the delta
-// machinery: with delta on, each iteration probes only the Δ frontier and
-// IndexBuilds stays at one per base table (the build side is extended
-// incrementally, never rebuilt); with -nodelta every iteration re-reads
-// the full recursive relation. Committed BENCH_delta_*.json files pair a
-// -nodelta run (before) with a default run (after).
-type DeltaRecord struct {
-	Name               string  `json:"name"`
-	Profile            string  `json:"profile"`
-	Nodes              int     `json:"nodes"`
-	Edges              int     `json:"edges"`
-	Delta              bool    `json:"delta"`
-	Iterations         int     `json:"iterations"`
-	NsOp               int64   `json:"ns_op"`
-	Millis             float64 `json:"ms"`
-	RowsFinal          int     `json:"rows_final"`
-	DeltaRowsTotal     int64   `json:"delta_rows_total"`
-	Joins              int64   `json:"joins"`
-	IndexBuilds        int64   `json:"index_builds"`
-	IndexCacheHits     int64   `json:"index_cache_hits"`
-	CSRBuilds          int64   `json:"csr_builds"`
-	CSRCacheHits       int64   `json:"csr_cache_hits"`
-	TuplesMaterialized int64   `json:"tuples_materialized"`
-	Inserts            int64   `json:"inserts"`
-}
-
-// deltaWorkload is one accumulation-recursion benchmark: a graph shape and
-// a WITH+ statement over it.
-type deltaWorkload struct {
-	name  string
-	query string
-	g     *graph.Graph
-}
-
-// deltaNodes picks the delta experiment's graph size: the configured node
-// count, floored at 600 so the accumulation loops run long enough for the
-// frontier effect to dominate per-iteration fixed costs.
-func deltaNodes(cfg Config) int {
-	if cfg.Nodes < 600 {
-		return 600
-	}
-	return cfg.Nodes
-}
 
 // chainGraph is the worst case for naive accumulation: a path 0→1→…→n-1.
 // Reachability from node 0 runs n-1 iterations with a one-row frontier, so
@@ -86,107 +34,36 @@ select ID from R`, source)
 // relation dwarfs each iteration's frontier.
 const tcDepth = 40
 
-// deltaReps is the number of timed repetitions per cell; the record keeps
-// the minimum. Counters come from the first repetition (deterministic).
-const deltaReps = 3
-
-func deltaWorkloads(cfg Config) []deltaWorkload {
-	n := deltaNodes(cfg)
-	return []deltaWorkload{
-		{name: "TC", query: algos.TCSQL(tcDepth), g: chainGraph(n)},
-		{name: "REACH", query: reachSQL(0), g: chainGraph(n)},
-	}
-}
-
-// DeltaRecords measures the delta experiment: each accumulation workload on
-// every profile, under the config's executor knobs (cfg.NoDelta selects the
-// naive baseline). One record per (workload, profile).
-func DeltaRecords(cfg Config) ([]DeltaRecord, error) {
-	cfg = cfg.defaults()
-	var out []DeltaRecord
-	for _, w := range deltaWorkloads(cfg) {
-		for _, prof := range profiles() {
-			var (
-				e       *engine.Engine
-				trace   *withplus.Trace
-				rows    int
-				elapsed time.Duration
-			)
-			for rep := 0; rep < deltaReps; rep++ {
-				re := newEngine(prof, cfg)
-				if _, err := re.LoadBase("E", w.g.EdgeRelation()); err != nil {
-					return nil, err
-				}
-				if _, err := re.LoadBase("V", w.g.NodeRelation(nil)); err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				res, rtrace, err := withplus.Run(re, w.query)
-				if err != nil {
-					return nil, fmt.Errorf("delta: %s on %s: %w", w.name, prof.Name, err)
-				}
-				d := time.Since(start)
-				if rep == 0 {
-					e, trace, rows = re, rtrace, res.Len()
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			var deltaTotal int64
-			for _, dr := range trace.DeltaRows {
-				deltaTotal += int64(dr)
-			}
-			out = append(out, DeltaRecord{
-				Name:               w.name,
-				Profile:            prof.Name,
-				Nodes:              w.g.N,
-				Edges:              w.g.M(),
-				Delta:              trace.DeltaEnabled,
-				Iterations:         trace.Iterations,
-				NsOp:               elapsed.Nanoseconds(),
-				Millis:             float64(elapsed.Microseconds()) / 1000.0,
-				RowsFinal:          rows,
-				DeltaRowsTotal:     deltaTotal,
-				Joins:              e.Cnt.Joins,
-				IndexBuilds:        e.Cnt.IndexBuilds,
-				IndexCacheHits:     e.Cnt.IndexCacheHits,
-				CSRBuilds:          e.Cnt.CSRBuilds,
-				CSRCacheHits:       e.Cnt.CSRCacheHits,
-				TuplesMaterialized: e.Cnt.TuplesMaterialized,
-				Inserts:            e.Cnt.Inserts,
-			})
-		}
-	}
-	return out, nil
-}
-
-// DeltaJSON renders the records as indented JSON (the -json output format).
-func DeltaJSON(recs []DeltaRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// DeltaTable renders the records as a Table for the default text output.
-func DeltaTable(recs []DeltaRecord) *Table {
-	t := &Table{
-		Title: "Delta: semi-naive frontier evaluation vs naive re-evaluation",
-		Header: []string{
-			"Workload", "Profile", "delta", "iters", "time (ms)",
-			"|R| final", "Δ rows", "joins", "idx builds", "idx hits", "tuples mat",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile, fmt.Sprintf("%v", r.Delta),
-			fmt.Sprintf("%d", r.Iterations), fmt.Sprintf("%.1f", r.Millis),
-			fmt.Sprintf("%d", r.RowsFinal), fmt.Sprintf("%d", r.DeltaRowsTotal),
-			fmt.Sprintf("%d", r.Joins), fmt.Sprintf("%d", r.IndexBuilds),
-			fmt.Sprintf("%d", r.IndexCacheHits), fmt.Sprintf("%d", r.TuplesMaterialized),
-		})
-	}
-	return t
+// deltaExp runs accumulation-style recursion (transitive closure and
+// single-source reachability — the workloads where semi-naive evaluation
+// pays) through the WITH+ pipeline. With delta on, each iteration probes only
+// the Δ frontier and index_builds stays at one per base table (the build side
+// is extended incrementally, never rebuilt); with -nodelta every iteration
+// re-reads the full recursive relation — Fig. 9/12's plain-WITH baseline.
+var deltaExp = &Experiment{
+	Name:  "delta",
+	Title: "Delta: semi-naive frontier evaluation vs naive re-evaluation",
+	Reps:  3,
+	Knob:  func(c *Config) *bool { return &c.NoDelta },
+	Columns: []string{"name", "profile", "delta", "iterations", "ms", "rows_final", "delta_rows_total",
+		"joins", "index_builds", "index_cache_hits", "tuples_materialized"},
+	Gate: Rule{
+		OnUsed:    []string{"delta"},
+		OffUnused: []string{"delta"},
+		// Zero build-side index rebuilds during the accumulation iterations.
+		OnAtMost: map[string]int64{"index_builds": 1},
+		Speedup:  2.0,
+		Carries:  hashProfile,
+	},
+	cells: func(cfg Config) ([]cell, error) {
+		cfg = cfg.defaults()
+		// Floored at 600 nodes so the accumulation loops run long enough for
+		// the frontier effect to dominate per-iteration fixed costs.
+		g := chainGraph(max(cfg.Nodes, 600))
+		edges, nodes := g.EdgeRelation(), g.NodeRelation(nil)
+		return engineCells(cfg, profiles(), []workload{
+			{Record{Name: "TC", Nodes: g.N, Edges: g.M()}, runWithPlus(algos.TCSQL(tcDepth), edges, nodes)},
+			{Record{Name: "REACH", Nodes: g.N, Edges: g.M()}, runWithPlus(reachSQL(0), edges, nodes)},
+		}), nil
+	},
 }

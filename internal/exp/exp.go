@@ -69,29 +69,12 @@ type Config struct {
 	// Workers is the engine's morsel-parallel worker count (<= 1: serial,
 	// the paper-faithful shape). cmd/bench exposes it as -workers.
 	Workers int
-	// NoFusion disables the fused MV-/MM-join kernels and the build-side
-	// index cache, restoring the materialize-then-aggregate executor for
-	// A/B comparisons. cmd/bench exposes it as -nofusion.
-	NoFusion bool
-	// NoDelta disables delta-driven semi-naive evaluation in the WITH+
-	// compiler: recursive branches re-read the full recursive relation each
-	// iteration (the naive loop). cmd/bench exposes it as -nodelta, the A/B
-	// baseline for the delta experiment.
-	NoDelta bool
-	// NoCSR disables the CSR adjacency access path: joins keep the cached
-	// hash index. cmd/bench exposes it as -nocsr, the A/B baseline for the
-	// csr experiment; results are byte-identical either way.
-	NoCSR bool
-	// NoVector disables the vectorized batch kernels in the SQL executor:
-	// filters, projections, and group-bys run the row-at-a-time closure
-	// trees. cmd/bench exposes it as -novector, the A/B baseline for the
-	// vector experiment; results are byte-identical either way.
-	NoVector bool
-	// NoWCOJ disables lowering cyclic equi-join cores to the multiway
-	// generic join: cyclic patterns run the binary hash-join chain.
-	// cmd/bench exposes it as -nowcoj, the A/B baseline for the motif
-	// experiment; results are byte-identical either way.
-	NoWCOJ bool
+	// NoDelta, NoCSR, NoVector and NoWCOJ set the engine's DisableDelta,
+	// DisableCSR, DisableVectorized and DisableWCOJ (documented there). Each
+	// selects the off side of one ablation experiment — delta, csr, vector,
+	// motif — with byte-identical results; cmd/bench exposes them as
+	// -nodelta, -nocsr, -novector and -nowcoj.
+	NoDelta, NoCSR, NoVector, NoWCOJ bool
 	// Observe attaches a counting span sink to every experiment engine, so
 	// the observability hooks' overhead can be measured against an
 	// unobserved run of the same experiment. cmd/bench exposes it as
@@ -117,12 +100,11 @@ func ms(d time.Duration) string {
 func profiles() []engine.Profile { return engine.Profiles() }
 
 // newEngine builds an engine for an experiment run, applying the config's
-// executor knobs (worker count, fusion on/off) uniformly so every table and
-// figure can be regenerated under either executor.
+// executor knobs uniformly so every table and figure can be regenerated
+// under any of them.
 func newEngine(prof engine.Profile, cfg Config) *engine.Engine {
 	e := engine.New(prof)
 	e.Parallelism = cfg.Workers
-	e.DisableFusion = cfg.NoFusion
 	e.DisableDelta = cfg.NoDelta
 	e.DisableCSR = cfg.NoCSR
 	e.DisableVectorized = cfg.NoVector

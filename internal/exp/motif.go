@@ -1,61 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
-	"time"
-
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/relation"
-	"repro/internal/sql"
 	"repro/internal/value"
 )
-
-// MotifRecord is one measurement of the motif experiment, emitted by
-// cmd/bench -exp motif -json. The experiment counts small cyclic subgraphs
-// — triangles, diamonds (directed 4-cycles), and directed 4-cliques — as
-// plain multi-relation SELECTs, with the worst-case-optimal multiway join
-// on (default) and off (-nowcoj). The cyclic cores are exactly where the
-// binary hash-join chain materializes a super-linear intermediate (all
-// wedges before closing the triangle) while the generic join's per-variable
-// intersection stays within the AGM bound. Committed
-// BENCH_motif_on.json/BENCH_motif_off.json pair the two;
-// scripts/bench_guard.sh gates on the speedup, on checksum identity (the
-// WCOJ path must count exactly what the binary chain counts), and on the
-// WCOJProbes counter proving which path actually ran.
-type MotifRecord struct {
-	Name       string  `json:"name"`
-	Profile    string  `json:"profile"`
-	Nodes      int     `json:"nodes"`
-	Edges      int     `json:"edges"`
-	WCOJ       bool    `json:"wcoj"`
-	NsOp       int64   `json:"ns_op"`
-	Millis     float64 `json:"ms"`
-	Count      int64   `json:"count"`
-	Checksum   string  `json:"checksum"`
-	Joins      int64   `json:"joins"`
-	WCOJBuilds int64   `json:"wcoj_builds"`
-	WCOJProbes int64   `json:"wcoj_probes"`
-}
-
-// motifWorkload is one cyclic-pattern benchmark: a counting query over the
-// edge table E (loaded from edges) and the graph's recorded size.
-type motifWorkload struct {
-	name  string
-	query string
-	edges *relation.Relation
-	nodes int
-}
-
-// motifNodes picks the graph size: the configured node count, floored at
-// the issue's reference scale so the committed baselines are comparable.
-func motifNodes(cfg Config) int {
-	if cfg.Nodes < 5000 {
-		return 5000
-	}
-	return cfg.Nodes
-}
 
 // Graph shapes are tuned per motif: the binary baseline's intermediate
 // grows with a higher power of the degree for each extra cycle edge
@@ -74,12 +24,6 @@ const (
 	motifCliqueDegree   = 6
 	motifCliqueSkew     = 4
 )
-
-// motifReps is the number of timed repetitions per cell; the record keeps
-// the minimum (the least-disturbed repetition). Counters and checksums come
-// from the first repetition. Three not five: the binary diamond/clique
-// cells are the slow side of the crossover and dominate the wall clock.
-const motifReps = 3
 
 // Counting queries. count(*) keeps the output one row while still pinning
 // the full multiplicity of the match — any missed or duplicated binding
@@ -123,127 +67,50 @@ func plantCliques(edges *relation.Relation, n, k int, seed int64) {
 	}
 }
 
-func motifWorkloads(cfg Config) []motifWorkload {
-	n := motifNodes(cfg)
-	gen := func(deg int, skew float64) *relation.Relation {
-		g := graph.Generate(graph.GenSpec{
-			N: n, M: n * deg, Directed: true, Skew: skew, Seed: cfg.Seed,
-		})
-		return g.EdgeRelation()
-	}
-	clique := gen(motifCliqueDegree, motifCliqueSkew)
-	plantCliques(clique, n, motifCliquePlants, cfg.Seed)
-	return []motifWorkload{
-		{name: "TRIANGLE", query: triangleSQL, nodes: n, edges: gen(motifTriangleDegree, motifTriangleSkew)},
-		{name: "DIAMOND", query: diamondSQL, nodes: n, edges: gen(motifDiamondDegree, motifDiamondSkew)},
-		{name: "CLIQUE4", query: clique4SQL, nodes: n, edges: clique},
-	}
-}
-
-// motifProfiles are the measured profiles: Oracle- and DB2-like, whose
-// planners take the hash-join chain the lowering replaces. The
-// PostgreSQL-like profile sort-merges unanalyzed temps and is covered by
-// the differential tests instead.
-func motifProfiles() []engine.Profile {
-	var out []engine.Profile
-	for _, p := range profiles() {
-		if p.Name != "postgres" {
-			out = append(out, p)
+// motifExp counts small cyclic subgraphs — triangles, diamonds (directed
+// 4-cycles), and directed 4-cliques — as plain multi-relation SELECTs, with
+// the worst-case-optimal multiway join on (default) and off (-nowcoj). The
+// cyclic cores are exactly where the binary hash-join chain materializes a
+// super-linear intermediate (all wedges before closing the triangle) while
+// the generic join's per-variable intersection stays within the AGM bound.
+// The WCOJ path must count exactly what the binary chain counts, and the
+// wcoj_probes counter proves which path ran. TRIANGLE carries the speedup (the
+// skewed graph is where the binary chain materializes every wedge);
+// DIAMOND/CLIQUE4 run on milder graphs and gate on correctness and path
+// proof. Only the Oracle- and DB2-like profiles are measured: the
+// PostgreSQL-like one sort-merges unanalyzed temps and is covered by the
+// differential tests instead. Three repetitions, not five: the binary
+// diamond/clique cells are the slow side of the crossover and dominate the
+// wall clock.
+var motifExp = &Experiment{
+	Name:  "motif",
+	Title: "Motif counting: worst-case-optimal multiway join vs binary hash-join chain",
+	Reps:  3,
+	Knob:  func(c *Config) *bool { return &c.NoWCOJ },
+	Columns: []string{"name", "profile", "off", "ms", "count", "checksum", "joins",
+		"wcoj_builds", "wcoj_probes"},
+	Gate: Rule{
+		OnUsed:    []string{"wcoj_probes"},
+		OffUnused: []string{"wcoj_probes", "wcoj_builds"},
+		Speedup:   2.0,
+		Carries:   func(r Record) bool { return r.Name == "TRIANGLE" },
+	},
+	cells: func(cfg Config) ([]cell, error) {
+		cfg = cfg.defaults()
+		n := abNodes(cfg)
+		gen := func(deg int, skew float64) *relation.Relation {
+			g := graph.Generate(graph.GenSpec{N: n, M: n * deg, Directed: true, Skew: skew, Seed: cfg.Seed})
+			return g.EdgeRelation()
 		}
-	}
-	return out
-}
-
-// runMotif loads the workload's edge table and times one execution of the
-// counting query.
-func runMotif(e *engine.Engine, w motifWorkload) (*relation.Relation, time.Duration, error) {
-	if _, err := e.LoadBase("E", w.edges); err != nil {
-		return nil, 0, err
-	}
-	sel, err := sql.ParseSelect(w.query)
-	if err != nil {
-		return nil, 0, err
-	}
-	x := sql.NewExec(e)
-	start := time.Now()
-	res, err := x.Run(sel)
-	return res, time.Since(start), err
-}
-
-// MotifRecords measures the motif experiment: each cyclic counting query on
-// the Oracle- and DB2-like profiles, under the config's executor knobs
-// (cfg.NoWCOJ selects the binary-chain baseline). One record per
-// (workload, profile).
-func MotifRecords(cfg Config) ([]MotifRecord, error) {
-	cfg = cfg.defaults()
-	var out []MotifRecord
-	for _, w := range motifWorkloads(cfg) {
-		for _, prof := range motifProfiles() {
-			var (
-				e       *engine.Engine
-				rel     *relation.Relation
-				elapsed time.Duration
-			)
-			for rep := 0; rep < motifReps; rep++ {
-				re := newEngine(prof, cfg)
-				r, d, err := runMotif(re, w)
-				if err != nil {
-					return nil, fmt.Errorf("motif: %s on %s: %w", w.name, prof.Name, err)
-				}
-				if rep == 0 {
-					e, rel = re, r
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			rec := MotifRecord{
-				Name:       w.name,
-				Profile:    prof.Name,
-				Nodes:      w.nodes,
-				Edges:      w.edges.Len(),
-				WCOJ:       !cfg.NoWCOJ,
-				NsOp:       elapsed.Nanoseconds(),
-				Millis:     float64(elapsed.Microseconds()) / 1000.0,
-				Checksum:   RelChecksum(rel),
-				Joins:      e.Cnt.Joins,
-				WCOJBuilds: e.Cnt.WCOJBuilds,
-				WCOJProbes: e.Cnt.WCOJProbes,
-			}
-			if rel.Len() == 1 && len(rel.Tuples[0]) == 1 && rel.Tuples[0][0].K == value.KindInt {
-				rec.Count = rel.Tuples[0][0].I
-			}
-			out = append(out, rec)
+		clique := gen(motifCliqueDegree, motifCliqueSkew)
+		plantCliques(clique, n, motifCliquePlants, cfg.Seed)
+		w := func(name, query string, edges *relation.Relation) workload {
+			return workload{Record{Name: name, Nodes: n, Edges: edges.Len(), Queries: 1}, runSelect(query, edges, nil)}
 		}
-	}
-	return out, nil
-}
-
-// MotifJSON renders the records as indented JSON (the -json output format).
-func MotifJSON(recs []MotifRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// MotifTable renders the records as a Table for the default text output.
-func MotifTable(recs []MotifRecord) *Table {
-	t := &Table{
-		Title: "Motif counting: worst-case-optimal multiway join vs binary hash-join chain",
-		Header: []string{
-			"Motif", "Profile", "wcoj", "time (ms)", "count",
-			"checksum", "joins", "wcoj builds", "wcoj probes",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile, fmt.Sprintf("%v", r.WCOJ),
-			fmt.Sprintf("%.1f", r.Millis), fmt.Sprintf("%d", r.Count),
-			r.Checksum, fmt.Sprintf("%d", r.Joins),
-			fmt.Sprintf("%d", r.WCOJBuilds), fmt.Sprintf("%d", r.WCOJProbes),
-		})
-	}
-	return t
+		return engineCells(cfg, []engine.Profile{engine.OracleLike(), engine.DB2Like()}, []workload{
+			w("TRIANGLE", triangleSQL, gen(motifTriangleDegree, motifTriangleSkew)),
+			w("DIAMOND", diamondSQL, gen(motifDiamondDegree, motifDiamondSkew)),
+			w("CLIQUE4", clique4SQL, clique),
+		}), nil
+	},
 }

@@ -1,161 +1,41 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
-	"time"
-
 	"repro/internal/algos"
 	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
-// PerfRecord is one machine-readable benchmark measurement, emitted by
-// cmd/bench -exp perf -json. The counter fields expose the iteration-aware
-// executor's behavior: with fusion on, IndexBuilds stays O(1) per base table
-// and TuplesMaterialized drops to zero on the MV-/MM-join path; with
-// -nofusion the legacy executor's per-iteration rebuild and materialization
-// costs show up directly. Committed BENCH_*.json files pair a -nofusion run
-// (before) with a default run (after).
-type PerfRecord struct {
-	Name               string  `json:"name"`
-	Dataset            string  `json:"dataset"`
-	Profile            string  `json:"profile"`
-	Workers            int     `json:"workers"`
-	Fusion             bool    `json:"fusion"`
-	Iterations         int     `json:"iterations"`
-	NsOp               int64   `json:"ns_op"`
-	Millis             float64 `json:"ms"`
-	Joins              int64   `json:"joins"`
-	GroupBys           int64   `json:"group_bys"`
-	IndexBuilds        int64   `json:"index_builds"`
-	IndexCacheHits     int64   `json:"index_cache_hits"`
-	CSRBuilds          int64   `json:"csr_builds"`
-	CSRCacheHits       int64   `json:"csr_cache_hits"`
-	TuplesMaterialized int64   `json:"tuples_materialized"`
-	// Observed and Spans report the observability A/B: with -observe a
-	// counting sink is attached and Spans counts what it saw. Both are
-	// omitted from JSON on unobserved runs, keeping the default output
-	// byte-compatible with committed BENCH_*.json baselines.
-	Observed bool  `json:"observed,omitempty"`
-	Spans    int64 `json:"spans,omitempty"`
-}
-
-// perfAlgos are the iterative algorithms measured by the perf experiment:
-// the fixed-iteration MV-join loops (PR, HITS) and a converging traversal
-// (WCC), together covering the executor paths the fused kernels replace.
-var perfAlgos = []string{"PR", "HITS", "WCC"}
-
-// perfReps is the number of timed repetitions per (algorithm, profile)
-// cell; the record keeps the minimum, which filters scheduler and cache
-// noise out of single-shot wall-clock times. Counters are taken from the
-// first repetition — they are deterministic per run.
-const perfReps = 3
-
-// PerfRecords measures the perf experiment: the named iterative algorithms
-// on the Web Google stand-in, across the three profiles, under the config's
-// executor knobs. One record per (algorithm, profile).
-func PerfRecords(cfg Config) ([]PerfRecord, error) {
-	cfg = cfg.defaults()
-	d, err := dataset.ByCode("WG")
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(cfg.Nodes, cfg.Seed)
-	byCode := map[string]algos.Algorithm{}
-	for _, a := range algos.Registry() {
-		byCode[a.Code] = a
-	}
-	var out []PerfRecord
-	for _, code := range perfAlgos {
-		a, ok := byCode[code]
-		if !ok {
-			return nil, fmt.Errorf("perf: unknown algorithm %q", code)
+// perfExp runs the named iterative algorithms on the Web Google stand-in
+// across the three profiles. The counters expose the iteration-aware
+// executor: index and CSR builds stay O(1) per base table and
+// tuples_materialized stays zero on the fused MV-/MM-join path. It is also
+// the observer A/B: -observe attaches a counting sink to the same run.
+var perfExp = &Experiment{
+	Name:  "perf",
+	Title: "Perf: iterative algorithms under the iteration-aware executor",
+	Reps:  3,
+	// The guard also runs it observed: the observability overhead A/B.
+	ObserverAB: true,
+	Columns: []string{"name", "profile", "workers", "iterations", "ms", "joins", "group_bys",
+		"index_builds", "index_cache_hits", "csr_builds", "csr_cache_hits", "tuples_materialized", "spans"},
+	Gate: Rule{Extra: perfTimings},
+	cells: func(cfg Config) ([]cell, error) {
+		cfg = cfg.defaults()
+		d, err := dataset.ByCode("WG")
+		if err != nil {
+			return nil, err
 		}
-		for _, prof := range profiles() {
-			var (
-				e       *engine.Engine
-				res     *algos.Result
-				elapsed time.Duration
-				spans   int64
-			)
-			for rep := 0; rep < perfReps; rep++ {
-				re := newEngine(prof, cfg)
-				var cs *obs.CountingSink
-				if cfg.Observe {
-					cs = &obs.CountingSink{}
-					re.SetObserver(cs)
-				}
-				start := time.Now()
-				rres, err := a.Run(re, g, algoParams("WG", cfg))
-				if err != nil {
-					return nil, fmt.Errorf("perf: %s on %s: %w", code, prof.Name, err)
-				}
-				d := time.Since(start)
-				obs.Global.Counter("bench.runs").Inc()
-				obs.Global.Histogram("bench.run_us").Observe(d.Microseconds())
-				if rep == 0 {
-					e, res = re, rres
-					if cs != nil {
-						spans = cs.Count()
-					}
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
+		g := d.Generate(cfg.Nodes, cfg.Seed)
+		var ws []workload
+		// The fixed-iteration MV-join loops (PR, HITS) and a converging
+		// traversal (WCC) together cover the paths the fused kernels serve.
+		for _, code := range []string{"PR", "HITS", "WCC"} {
+			a, err := algos.ByCode(code)
+			if err != nil {
+				return nil, err
 			}
-			out = append(out, PerfRecord{
-				Name:               code,
-				Dataset:            d.Code,
-				Profile:            prof.Name,
-				Workers:            cfg.Workers,
-				Fusion:             !cfg.NoFusion,
-				Iterations:         res.Iterations,
-				NsOp:               elapsed.Nanoseconds(),
-				Millis:             float64(elapsed.Microseconds()) / 1000.0,
-				Joins:              e.Cnt.Joins,
-				GroupBys:           e.Cnt.GroupBys,
-				IndexBuilds:        e.Cnt.IndexBuilds,
-				IndexCacheHits:     e.Cnt.IndexCacheHits,
-				CSRBuilds:          e.Cnt.CSRBuilds,
-				CSRCacheHits:       e.Cnt.CSRCacheHits,
-				TuplesMaterialized: e.Cnt.TuplesMaterialized,
-				Observed:           cfg.Observe,
-				Spans:              spans,
-			})
+			ws = append(ws, workload{Record{Name: code, Dataset: d.Code}, runAlgo(a.Run, g, algoParams(d.Code, cfg))})
 		}
-	}
-	return out, nil
-}
-
-// PerfJSON renders the records as indented JSON (the -json output format).
-func PerfJSON(recs []PerfRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// PerfTable renders the records as a Table for the default text output.
-func PerfTable(recs []PerfRecord) *Table {
-	t := &Table{
-		Title: "Perf: iterative algorithms under the iteration-aware executor",
-		Header: []string{
-			"Algorithm", "Profile", "workers", "fusion", "iters", "time (ms)",
-			"joins", "aggs", "idx builds", "idx hits", "tuples mat",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile,
-			fmt.Sprintf("%d", r.Workers), fmt.Sprintf("%v", r.Fusion),
-			fmt.Sprintf("%d", r.Iterations), fmt.Sprintf("%.1f", r.Millis),
-			fmt.Sprintf("%d", r.Joins), fmt.Sprintf("%d", r.GroupBys),
-			fmt.Sprintf("%d", r.IndexBuilds), fmt.Sprintf("%d", r.IndexCacheHits),
-			fmt.Sprintf("%d", r.TuplesMaterialized),
-		})
-	}
-	return t
+		return engineCells(cfg, profiles(), ws), nil
+	},
 }

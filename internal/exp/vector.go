@@ -1,71 +1,17 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"time"
 
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/relation"
-	"repro/internal/sql"
 	"repro/internal/value"
-	"repro/internal/withplus"
 )
-
-// VectorRecord is one measurement of the vector experiment, emitted by
-// cmd/bench -exp vector -json. The experiment runs the scan-heavy SQL
-// shapes the vectorized kernels target — residual filters, computed
-// projections, integer-keyed aggregation, and a WITH+ recursion whose
-// recursive step carries a non-equi residual filter — with the batch
-// kernels on (default) and off (-novector). Committed
-// BENCH_vector_on.json/BENCH_vector_off.json pair the two;
-// scripts/bench_guard.sh gates on the speedup, on checksum identity (the
-// vectorized path must be byte-identical to the row path), and on the
-// VectorizedBatches counter proving which path actually ran.
-type VectorRecord struct {
-	Name              string  `json:"name"`
-	Profile           string  `json:"profile"`
-	Nodes             int     `json:"nodes"`
-	Edges             int     `json:"edges"`
-	Vector            bool    `json:"vector"`
-	Queries           int     `json:"queries"`
-	NsOp              int64   `json:"ns_op"`
-	Millis            float64 `json:"ms"`
-	RowsFinal         int     `json:"rows_final"`
-	Checksum          string  `json:"checksum"`
-	VectorizedBatches int64   `json:"vectorized_batches"`
-	RowFallbacks      int64   `json:"row_fallbacks"`
-}
-
-// vectorWorkload is one scan-heavy benchmark: a plain SELECT executed
-// queries times per repetition, or a WITH+ recursion executed once.
-type vectorWorkload struct {
-	name    string
-	query   string
-	with    bool // run through the WITH+ compiler instead of plain SELECT
-	queries int  // timed executions per repetition
-}
-
-// vectorNodes floors the graph size so the per-query scan dominates fixed
-// costs (parse, plan, catalog lookups).
-func vectorNodes(cfg Config) int {
-	if cfg.Nodes < 5000 {
-		return 5000
-	}
-	return cfg.Nodes
-}
 
 // vectorAvgDegree shapes the edge table: the experiment measures tuple
 // throughput, so the table just needs to be wide enough that per-row costs
 // dominate.
 const vectorAvgDegree = 16
-
-// vectorReps is the number of timed repetitions per cell; the record keeps
-// the minimum (the least-disturbed repetition). Counters and checksums come
-// from the first repetition.
-const vectorReps = 5
 
 // vectorEdgeRelation builds E(F, T, ew) from the generated graph with
 // deterministic pseudo-random weights in [0, 1) — the generator's constant
@@ -81,141 +27,54 @@ func vectorEdgeRelation(g *graph.Graph, seed int64) *relation.Relation {
 	return r
 }
 
-func vectorWorkloads() []vectorWorkload {
-	return []vectorWorkload{
-		// Residual WHERE: one typed column⋈constant kernel and one
-		// column⋈column kernel composed by selection-vector refinement.
-		{name: "FILTER", queries: 8,
-			query: "select F, T from E where ew > 0.7 and F <> T"},
-		// Computed projection: arithmetic kernels into one flat output array.
-		{name: "PROJECT", queries: 8,
-			query: "select F + T as s, ew * 2.0 as w2, F from E"},
-		// Integer-keyed aggregation: dense group ids, no per-row map probe.
-		{name: "AGG", queries: 8,
-			query: "select F, sum(ew) as s, count(*) as n, max(ew) as mx from E group by F"},
-		// WITH+ recursion with a non-equi residual in the recursive step: the
-		// vectorized filter runs once per iteration inside the loop.
-		{name: "REACH", with: true, queries: 1,
-			query: `
+// vectorExp runs the scan-heavy SQL shapes the vectorized kernels target with
+// the batch kernels on (default) and off (-novector). The vectorized path
+// must be byte-identical to the row path, and the vectorized_batches counter
+// proves which path actually ran (these workloads compile fully to kernels,
+// so row_fallbacks stays zero). The selection (FILTER) and aggregation (AGG)
+// workloads carry the speedup; PROJECT is bound by output materialization
+// (the boxed tuple build dominates either way) and REACH by join/dedup work,
+// so those cells gate on correctness and counters, not speed.
+var vectorExp = &Experiment{
+	Name:  "vector",
+	Title: "Vectorized execution: batch kernels vs row-at-a-time closures",
+	Reps:  5,
+	Knob:  func(c *Config) *bool { return &c.NoVector },
+	Columns: []string{"name", "profile", "off", "queries", "ms", "ns_op", "rows_final", "checksum",
+		"vectorized_batches", "row_fallbacks"},
+	Gate: Rule{
+		OnUsed:    []string{"vectorized_batches"},
+		OnAtMost:  map[string]int64{"row_fallbacks": 0},
+		OffUnused: []string{"vectorized_batches"},
+		Speedup:   1.5,
+		Carries:   hashProfile,
+		MinFast:   2,
+	},
+	cells: func(cfg Config) ([]cell, error) {
+		cfg = cfg.defaults()
+		n := abNodes(cfg)
+		g := graph.Generate(graph.GenSpec{N: n, M: n * vectorAvgDegree, Directed: true, Skew: 2.5, Seed: cfg.Seed})
+		edges, nodes := vectorEdgeRelation(g, cfg.Seed), g.NodeRelation(nil)
+		rec := func(name string, queries int) Record {
+			return Record{Name: name, Nodes: g.N, Edges: g.M(), Queries: queries}
+		}
+		sel := func(query string) engineWork { return runSelect(query, edges, nodes) }
+		return engineCells(cfg, profiles(), []workload{
+			// Residual WHERE: one typed column⋈constant kernel and one
+			// column⋈column kernel composed by selection-vector refinement.
+			{rec("FILTER", 8), sel("select F, T from E where ew > 0.7 and F <> T")},
+			// Computed projection: arithmetic kernels into one flat output array.
+			{rec("PROJECT", 8), sel("select F + T as s, ew * 2.0 as w2, F from E")},
+			// Integer-keyed aggregation: dense group ids, no per-row map probe.
+			{rec("AGG", 8), sel("select F, sum(ew) as s, count(*) as n, max(ew) as mx from E group by F")},
+			// WITH+ recursion with a non-equi residual in the recursive step: the
+			// vectorized filter runs once per iteration inside the loop.
+			{rec("REACH", 1), runWithPlus(`
 with R(ID) as (
   (select ID from V where ID = 0)
   union all
   (select E.T from R, E where R.ID = E.F and E.ew > 0.2))
-select ID from R`},
-	}
-}
-
-// runVectorWorkload loads the data and executes the workload's timed loop,
-// returning the final relation and total duration.
-func runVectorWorkload(e *engine.Engine, w vectorWorkload, edges, nodes *relation.Relation) (*relation.Relation, time.Duration, error) {
-	if _, err := e.LoadBase("E", edges); err != nil {
-		return nil, 0, err
-	}
-	if _, err := e.LoadBase("V", nodes); err != nil {
-		return nil, 0, err
-	}
-	if w.with {
-		start := time.Now()
-		res, _, err := withplus.Run(e, w.query)
-		return res, time.Since(start), err
-	}
-	stmt, err := sql.ParseStatement(w.query)
-	if err != nil {
-		return nil, 0, err
-	}
-	q, ok := stmt.(*sql.QueryStmt)
-	if !ok {
-		return nil, 0, fmt.Errorf("vector: %s is not a plain SELECT", w.name)
-	}
-	x := sql.NewExec(e)
-	var res *relation.Relation
-	start := time.Now()
-	for i := 0; i < w.queries; i++ {
-		res, err = x.Run(q.Select)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return res, time.Since(start), nil
-}
-
-// VectorRecords measures the vector experiment: each scan-heavy workload on
-// every profile, under the config's executor knobs (cfg.NoVector selects
-// the row-path baseline). One record per (workload, profile).
-func VectorRecords(cfg Config) ([]VectorRecord, error) {
-	cfg = cfg.defaults()
-	n := vectorNodes(cfg)
-	g := graph.Generate(graph.GenSpec{
-		N: n, M: n * vectorAvgDegree, Directed: true, Skew: 2.5, Seed: cfg.Seed,
-	})
-	edges := vectorEdgeRelation(g, cfg.Seed)
-	nodes := g.NodeRelation(nil)
-	var out []VectorRecord
-	for _, w := range vectorWorkloads() {
-		for _, prof := range profiles() {
-			var (
-				e       *engine.Engine
-				rel     *relation.Relation
-				elapsed time.Duration
-			)
-			for rep := 0; rep < vectorReps; rep++ {
-				re := newEngine(prof, cfg)
-				r, d, err := runVectorWorkload(re, w, edges, nodes)
-				if err != nil {
-					return nil, fmt.Errorf("vector: %s on %s: %w", w.name, prof.Name, err)
-				}
-				if rep == 0 {
-					e, rel = re, r
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			out = append(out, VectorRecord{
-				Name:              w.name,
-				Profile:           prof.Name,
-				Nodes:             g.N,
-				Edges:             g.M(),
-				Vector:            !cfg.NoVector,
-				Queries:           w.queries,
-				NsOp:              elapsed.Nanoseconds() / int64(w.queries),
-				Millis:            float64(elapsed.Microseconds()) / 1000.0,
-				RowsFinal:         rel.Len(),
-				Checksum:          RelChecksum(rel),
-				VectorizedBatches: e.Cnt.VectorizedBatches,
-				RowFallbacks:      e.Cnt.RowFallbacks,
-			})
-		}
-	}
-	return out, nil
-}
-
-// VectorJSON renders the records as indented JSON (the -json output format).
-func VectorJSON(recs []VectorRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// VectorTable renders the records as a Table for the default text output.
-func VectorTable(recs []VectorRecord) *Table {
-	t := &Table{
-		Title: "Vectorized execution: batch kernels vs row-at-a-time closures",
-		Header: []string{
-			"Workload", "Profile", "vector", "queries", "time (ms)", "ns/query",
-			"|R| final", "checksum", "batches", "row fallbacks",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile, fmt.Sprintf("%v", r.Vector),
-			fmt.Sprintf("%d", r.Queries), fmt.Sprintf("%.1f", r.Millis),
-			fmt.Sprintf("%d", r.NsOp), fmt.Sprintf("%d", r.RowsFinal),
-			r.Checksum, fmt.Sprintf("%d", r.VectorizedBatches),
-			fmt.Sprintf("%d", r.RowFallbacks),
-		})
-	}
-	return t
+select ID from R`, edges, nodes)},
+		}), nil
+	},
 }

@@ -9,7 +9,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokKind classifies tokens.
@@ -86,7 +85,7 @@ scan:
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
+	case isLetter(c) || c == '_':
 		for l.pos < len(l.src) && (isIdentChar(l.src[l.pos])) {
 			l.pos++
 		}
@@ -96,7 +95,7 @@ scan:
 			return Token{Kind: TokKeyword, Text: lower, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
-	case unicode.IsDigit(rune(c)):
+	case isDigit(c):
 		sawDot := false
 		for l.pos < len(l.src) {
 			ch := l.src[l.pos]
@@ -105,7 +104,7 @@ scan:
 				l.pos++
 				continue
 			}
-			if !unicode.IsDigit(rune(ch)) && ch != 'e' && ch != 'E' {
+			if !isDigit(ch) && ch != 'e' && ch != 'E' {
 				break
 			}
 			if ch == 'e' || ch == 'E' {
@@ -159,9 +158,15 @@ scan:
 	}
 }
 
-func isIdentChar(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
+// Identifier and digit classes are ASCII-only: the lexer walks bytes, and a
+// byte >= 0x80 read as a Latin-1 letter yields an identifier that is not valid
+// UTF-8 and does not survive render -> reparse. Outside a string literal such
+// a byte is a lex error.
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isIdentChar(c byte) bool { return c == '_' || isLetter(c) || isDigit(c) }
 
 // Tokenize scans the whole input.
 func Tokenize(src string) ([]Token, error) {

@@ -90,6 +90,16 @@ func TestLexer(t *testing.T) {
 	if _, err := Tokenize("a ~ b"); err == nil {
 		t.Error("bad character should fail")
 	}
+	// Identifier and digit classes are ASCII-only; inside a string literal
+	// any byte is data.
+	for _, src := range []string{"a\xe1", "\xe1", "1\xb2", "select \xc3\xa9 from t"} {
+		if _, err := Tokenize(src); err == nil {
+			t.Errorf("%q: non-ASCII byte outside a string literal should fail", src)
+		}
+	}
+	if toks, err := Tokenize("'\xe1\xc3\xa9'"); err != nil || toks[0].Text != "\xe1\xc3\xa9" {
+		t.Errorf("non-ASCII bytes inside a string literal must lex: %v, %v", toks, err)
+	}
 }
 
 func TestParseErrors(t *testing.T) {

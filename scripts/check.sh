@@ -4,7 +4,7 @@
 #   module included, plus a short run of the benchmark itself), a
 #   race-detector pass over the packages with parallel or
 #   concurrently-observed executor paths (ra, engine, graphsql), and the
-#   chaos and bench-overhead gates.
+#   chaos and bench gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,22 +33,16 @@ go test ./internal/algos -run 'CSRVsHash' -count=1
 go test ./internal/catalog -run 'CSR' -count=1
 go test ./internal/withplus -run=NONE -fuzz FuzzCSRVsHash -fuzztime 5s
 
-echo "== vector smoke (vector vs row differentials + kernel bench + tiny A/B)"
+echo "== vector smoke (vector vs row differentials + kernel bench)"
 go test ./internal/sql -run 'VecRowStatementParity' -count=1
 go test ./internal/algos -run 'VectorVsRow' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzVectorVsRow -fuzztime 5s
 go test ./internal/ra -run=NONE -bench 'BenchmarkSelectVectorized|BenchmarkGroupByVectorized' -benchtime 1x
-# One end-to-end run of the experiment CLI; the full on/off A/B with
-# checksum and speedup gating happens in bench_guard.sh below.
-go run ./cmd/bench -exp vector > /dev/null
 
 echo "== wcoj smoke (multiway vs binary differentials + chooser + operator)"
 go test ./internal/ra -run 'WCOJ' -count=1
 go test ./internal/sql -run 'WCOJDifferential|WCOJExplainAnalyze|ChooseWCOJ' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzWCOJVsBinary -fuzztime 5s
-# One end-to-end run of the experiment CLI; the full on/off A/B with
-# count, checksum, and speedup gating happens in bench_guard.sh below.
-go run ./cmd/bench -exp motif > /dev/null
 
 echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
@@ -60,7 +54,7 @@ go test ./internal/sql -run=NONE -fuzz FuzzMatchParser -fuzztime 5s
 echo "== chaos gate (fault sweep, recovery, cancellation, fuzz smoke)"
 ./scripts/chaos.sh
 
-echo "== bench guard (perf baseline + observability overhead + delta/csr/vector/motif A/B)"
-./scripts/bench_guard.sh
+echo "== bench guard (perf baseline + observability overhead + delta/csr/vector/motif A/B + session scaling vs BENCH.json)"
+go run ./cmd/bench -exp guard
 
 echo "check: OK"
