@@ -70,10 +70,7 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if db.eng.Session() != "" {
-		db.eng.CloseSession()
-		db.eng.Cat.Release()
-	}
+	db.eng.CloseSession()
 	return nil
 }
 

@@ -8,11 +8,16 @@
 // guards its storage, caches, and statistics with its own mutex. Session
 // catalogs (see Session) overlay a private temp-table namespace on a shared
 // root, so concurrent recursions never collide on working-table names.
-// Cached materializations are copy-on-write for shared (non-temp) tables:
-// a write bumps the version and drops the caches, while readers holding the
-// old materialization (pinned in a View) keep a consistent image. Temporary
-// tables — private to one session by construction — keep the cheaper
-// in-place append path that incremental index maintenance relies on.
+// Cached materializations are copy-on-write for tables other sessions can
+// read: while any session is live, an append bumps the version and installs
+// a new materialization header over the same backing rows plus the appended
+// ones (O(appended), no store re-decode), while readers holding the old,
+// shorter header (pinned in a View) keep a consistent image. The access
+// structures built on it — hash, sorted, dict, CSR — are dropped on such an
+// append and rebuilt by the next reader; destructive writes drop everything.
+// Session-private temporary tables, and every table while no session is
+// live, keep the cheaper in-place append path that incremental index
+// maintenance relies on.
 package catalog
 
 import (
@@ -64,19 +69,20 @@ type Table struct {
 	// one version is never served after the table changes — the mechanism
 	// behind iteration-aware join execution: a hash index built on an
 	// immutable base table survives every iteration of a WITH+ loop.
-	// Appends to temporary tables are special-cased (noteAppend): the
+	// Appends are special-cased (noteAppendLocked): on private tables the
 	// version moves forward *with* the materialization cache, hash indexes,
-	// and column dicts, so accumulation-only recursion never rebuilds its
-	// build sides. Appends to shared base tables and destructive writes
-	// drop everything (invalidate) — copy-on-write from the point of view
-	// of concurrent readers, whose pinned caches survive untouched.
+	// column dicts, and CSRs, so accumulation-only recursion never rebuilds
+	// its build sides; on tables live sessions can read, the version moves
+	// to a new materialization header (copy-on-write) and the access
+	// structures drop, so concurrent readers' pinned images survive
+	// untouched. Destructive writes drop everything (invalidate).
 	version uint64
 
 	indexes     map[string]*relation.SortedIndex
 	hashIndexes map[string]hashIndexEntry
 	dicts       map[int]dictEntry
 	csrs        map[string]csrEntry
-	cache       *relation.Relation // materialization cache, invalidated on write
+	cache       *relation.Relation // materialization cache: carried forward by appends, dropped by destructive writes
 }
 
 // hashIndexEntry pairs a cached build-side hash index with the table version
@@ -133,8 +139,9 @@ type Catalog struct {
 	// sessions counts live session overlays (root only, atomic). While it is
 	// zero no snapshot can be pinned anywhere, so appends to shared tables may
 	// extend cached structures in place — the exact single-session fast path;
-	// once a session exists, shared-table appends switch to copy-on-write
-	// invalidation. Session() increments it, Release() decrements.
+	// once a session exists, shared-table appends publish a copy-on-write
+	// materialization header and drop the access structures. Session()
+	// increments it, Release() decrements.
 	sessions int64
 
 	// Property-graph definitions (root only, shared like non-temp DDL);
@@ -447,39 +454,54 @@ func (t *Table) InsertRelation(r *relation.Relation) error {
 	return nil
 }
 
-// noteAppendLocked is the append-aware alternative to invalidate for
-// session-private temporary tables: the version still bumps (appends are
-// writes — statistics go stale, sorted indexes drop), but the
-// materialization cache, hash indexes, and column dictionaries move forward
-// *with* the version instead of being discarded. The cache header is
-// extended in place so every reader holding it — including cached hash
-// indexes, whose validity the join executor checks by identity against the
-// probe-time materialization — observes the appended rows without a rebuild.
-// This is what keeps build-side indexes alive across the accumulation-only
-// iterations of semi-naive recursion.
+// noteAppendLocked records an append of tuples (already in the store) in
+// the table's caches. It has three outcomes; every one bumps the version
+// (appends are writes — statistics go stale, sorted indexes drop):
 //
-// Tables reachable by other sessions take the invalidation path instead once
-// any session overlay is live: their cached materialization and indexes may
-// be held by concurrent readers, so they are never mutated in place — the
-// write installs nothing and the next reader rebuilds at the new version,
-// while pinned views keep the old, internally consistent image
-// (copy-on-write). Session-overlay temps are private by construction and
-// always extend in place; with zero live sessions no snapshot can be pinned,
-// so every table does. Destructive writes (truncate, rename) invalidate for
+//   - Invalidate, when nothing is materialized since the last write: no
+//     current-version access structure can exist, so there is nothing to
+//     carry forward and the next reader decodes the store.
+//   - Extend in place, for session-private temps and for every table while
+//     no session overlay is live: the materialization cache, hash indexes,
+//     column dictionaries, and CSRs move forward *with* the version. The
+//     cache header itself grows, so every holder of it — including cached
+//     hash indexes, whose validity the join executor checks by identity
+//     against the probe-time materialization — observes the appended rows
+//     without a rebuild. This keeps build-side indexes alive across the
+//     accumulation-only iterations of semi-naive recursion.
+//   - Copy-on-write header, for tables other sessions can read while any
+//     session overlay is live: the next version's materialization is a new
+//     relation header over the same backing rows plus clones of the
+//     appended tuples, built in O(appended), so the next reader skips the
+//     store decode. Views pinned before the write keep their shorter header,
+//     whose rows are never overwritten. Hash, sorted, dict, and CSR caches
+//     are dropped, because the structures may be held by concurrent readers
+//     and are not safe to extend under them.
+//
+// The rule that makes the last two arms sound together: rows are appended
+// only through the table's latest cache header, and only under t.mu. An
+// older header is a prefix of the latest one, so equal length over the same
+// backing array means the same rows (relation.SameRows, CSR.Covers).
+// Destructive writes (truncate, rename, a failed insert) invalidate for
 // every table kind.
 func (t *Table) noteAppendLocked(tuples []relation.Tuple) {
-	private := t.owner != nil && t.owner.parent != nil
-	if t.cache == nil || (!private && t.owner != nil && t.owner.concurrent()) {
-		// Nothing materialized since the last write (so no current-version
-		// access structure can exist), or the table is reachable by live
-		// sessions and in-place extension would race with their readers.
+	if t.cache == nil {
 		t.invalidateLocked()
 		return
 	}
-	t.version++
+	rows := t.cache.Tuples
 	for _, tu := range tuples {
-		t.cache.Tuples = append(t.cache.Tuples, tu.Clone())
+		rows = append(rows, tu.Clone())
 	}
+	private := t.owner != nil && t.owner.parent != nil
+	if !private && t.owner != nil && t.owner.concurrent() {
+		next := &relation.Relation{Sch: t.cache.Sch, Tuples: rows}
+		t.invalidateLocked()
+		t.cache = next
+		return
+	}
+	t.version++
+	t.cache.Tuples = rows
 	from := t.cache.Len() - len(tuples)
 	for key, e := range t.hashIndexes {
 		if e.version != t.version-1 {
@@ -522,10 +544,11 @@ func (t *Table) Truncate() error {
 }
 
 // Materialize scans the store into a relation qualified with the table
-// name. The result is cached until the next write; paged tables pay decode
-// cost on every (re)materialization. Callers must treat the result as
-// immutable: for shared tables it may be served concurrently to other
-// sessions.
+// name. The result is cached and carried forward by appends
+// (noteAppendLocked) until the next destructive write; paged tables pay
+// decode cost on every full (re)materialization. Callers must treat the
+// result as immutable: for shared tables it may be served concurrently to
+// other sessions.
 func (t *Table) Materialize() (*relation.Relation, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // TestSessionOverlay pins the namespace rules: temps are private to the
@@ -72,17 +75,32 @@ func TestSessionOverlay(t *testing.T) {
 	}
 }
 
+// scanCounter is a TupleStore that counts full scans — the store decodes a
+// materialization cache exists to avoid.
+type scanCounter struct {
+	storage.TupleStore
+	scans int
+}
+
+func (s *scanCounter) Scan(fn func(relation.Tuple) bool) error {
+	s.scans++
+	return s.TupleStore.Scan(fn)
+}
+
 // TestSessionCountGatesInPlaceAppend pins the copy-on-write gate: while no
 // sessions are live, appends to a warm base table extend its caches in
 // place (the incremental index maintenance fast path); once any session is
-// live, a pinned view could exist, so the same append must invalidate and
-// rebuild instead.
+// live, a pinned view could exist, so the same append publishes a new
+// materialization header instead — no store rescan, a new version, access
+// structures rebuilt, and the pinned view's rows untouched.
 func TestSessionCountGatesInPlaceAppend(t *testing.T) {
 	root := newCat()
 	tab, err := root.Create("t", sch(), StoreMem, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := &scanCounter{TupleStore: tab.Store}
+	tab.Store = store
 	tab.Insert(tu(1, 2))
 
 	warm := func() {
@@ -101,12 +119,46 @@ func TestSessionCountGatesInPlaceAppend(t *testing.T) {
 		t.Error("single-session append should extend the hash index in place")
 	}
 
-	// One live session: the same append must invalidate.
+	// One live session: the same append is copy-on-write.
 	s := root.Session()
 	warm()
+	if _, _, err := tab.EnsureCSR(0, 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := tab.NewView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := pinned.Rel.Clone()
+	scans, ver := store.scans, tab.Version()
 	tab.Insert(tu(5, 6))
+	if tab.Version() <= ver {
+		t.Errorf("copy-on-write append left the version at %d", tab.Version())
+	}
 	if _, hit, _ := tab.EnsureHashIndex([]int{0}); hit {
-		t.Error("append with live sessions must invalidate shared caches")
+		t.Error("append with live sessions must drop the shared hash index")
+	}
+	if _, hit, _ := tab.EnsureCSR(0, 1, -1); hit {
+		t.Error("append with live sessions must drop the shared CSR")
+	}
+	if pinned.Rel.Len() != old.Len() {
+		t.Fatalf("pinned view grew to %d rows, want %d", pinned.Rel.Len(), old.Len())
+	}
+	for i, row := range old.Tuples {
+		if !pinned.Rel.Tuples[i].Equal(row) {
+			t.Errorf("pinned row %d = %v, want %v", i, pinned.Rel.Tuples[i], row)
+		}
+	}
+	fresh, err := tab.NewView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Rel == pinned.Rel || fresh.Rel.Len() != old.Len()+1 || !fresh.Rel.Tuples[old.Len()].Equal(tu(5, 6)) {
+		t.Errorf("fresh view = %d rows (same header %v), want a new header with %d rows ending in (5, 6)",
+			fresh.Rel.Len(), fresh.Rel == pinned.Rel, old.Len()+1)
+	}
+	if store.scans != scans {
+		t.Errorf("copy-on-write append cost %d store rescan(s), want 0", store.scans-scans)
 	}
 
 	// Overlay-private temps stay on the fast path even with sessions live.
@@ -198,6 +250,88 @@ func TestSnapshotPinsViews(t *testing.T) {
 	}
 	if repinned.Rel.Len() != 3 {
 		t.Errorf("re-pinned view has %d rows, want 3", repinned.Rel.Len())
+	}
+}
+
+// TestCopyOnWriteAppendRace races one writer appending batches to a shared
+// table against readers that pin views and walk v.Rel.Tuples in full;
+// meaningful under -race. Row i holds (i, batch of i), so every walk checks
+// that no reader ever sees a row below its header's length overwritten —
+// neither in a fresh pin nor in a pin re-walked after the writer moved on.
+func TestCopyOnWriteAppendRace(t *testing.T) {
+	root := newCat()
+	tab, err := root.Create("t", sch(), StoreMem, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := root.Session()
+	defer s.Release()
+
+	const batches, batch, readers = 200, 16, 3
+	check := func(v *View) bool {
+		for i, row := range v.Rel.Tuples {
+			if row[0].AsInt() != int64(i) || row[1].AsInt() != int64(i/batch) {
+				t.Errorf("row %d of a %d-row view = %v", i, v.Rel.Len(), row)
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1 + readers)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			r := relation.New(sch())
+			for i := 0; i < batch; i++ {
+				r.Append(tu(int64(b*batch+i), int64(b)))
+			}
+			if err := tab.InsertRelation(r); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		go func() {
+			defer wg.Done()
+			var prev *View
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, err := tab.NewView()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !check(v) {
+					return
+				}
+				if prev != nil {
+					if v.Rel.Len() < prev.Rel.Len() {
+						t.Errorf("view shrank from %d to %d rows", prev.Rel.Len(), v.Rel.Len())
+						return
+					}
+					if !check(prev) {
+						return
+					}
+				}
+				prev = v
+			}
+		}()
+	}
+	wg.Wait()
+	v, err := tab.NewView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Rel.Len() != batches*batch || !check(v) {
+		t.Errorf("final view has %d rows, want %d", v.Rel.Len(), batches*batch)
 	}
 }
 

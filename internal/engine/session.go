@@ -48,10 +48,14 @@ func (e *Engine) Root() *Engine {
 	return e
 }
 
-// CloseSession drops every temp table the session still holds in its overlay
-// (abandoned recursion working tables, PSM temps), releasing their buffer
-// frames. Safe to call on a root engine, where it is a no-op: the root's
-// temps belong to the benchmark harness, not to a connection.
+// CloseSession ends a session: it drops every temp table the session still
+// holds in its overlay (abandoned recursion working tables, PSM temps),
+// releasing their buffer frames, and releases the session's slot in the
+// root catalog, so that once the last session closes, appends to shared
+// tables regain the in-place fast path. Call it exactly once per
+// NewSession; the session engine must not be used afterwards. Safe to call
+// on a root engine, where it is a no-op: the root's temps belong to the
+// benchmark harness, not to a connection.
 func (e *Engine) CloseSession() {
 	if e.root == nil {
 		return
@@ -59,4 +63,5 @@ func (e *Engine) CloseSession() {
 	for _, name := range e.Cat.TempNames() {
 		_ = e.Cat.Drop(name)
 	}
+	e.Cat.Release()
 }

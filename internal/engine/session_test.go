@@ -12,7 +12,6 @@ import (
 	"repro/internal/value"
 )
 
-
 // TestSessionSharesBaseTables: sessions read the root's base tables, keep
 // their temps private, count their own statements, and CloseSession reaps
 // leftover temps without touching the root.
@@ -22,7 +21,6 @@ func TestSessionSharesBaseTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := root.NewSession("s1")
-	defer s.Cat.Release()
 
 	r, err := s.Rel("E")
 	if err != nil || r.Len() != 2 {
@@ -46,7 +44,6 @@ func TestSessionSharesBaseTables(t *testing.T) {
 		t.Error("session temp visible from a sibling session")
 	}
 	s2.CloseSession()
-	s2.Cat.Release()
 
 	// Session counters are private; the root's stay untouched.
 	if _, err := s.Rel("E"); err != nil {
@@ -62,6 +59,22 @@ func TestSessionSharesBaseTables(t *testing.T) {
 	}
 	if !root.Cat.Has("E") {
 		t.Error("CloseSession touched shared tables")
+	}
+
+	// CloseSession also released both session slots: a root append to a
+	// warm base table is back on the in-place path, index kept.
+	tab, err := root.Cat.Get("E")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tab.EnsureHashIndex([]int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.AppendInto("E", edgeRel([][2]int64{{3, 4}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, _ := tab.EnsureHashIndex([]int{0}); !hit {
+		t.Error("after CloseSession of every session, a root append still dropped the hash index")
 	}
 }
 
@@ -79,7 +92,6 @@ func TestEnsureBaseRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			s := root.NewSession(fmt.Sprintf("s%d", i))
-			defer s.Cat.Release()
 			defer s.CloseSession()
 			tab, err := s.EnsureBase("PR_E", func() *relation.Relation {
 				atomic.AddInt32(&gens, 1)
@@ -112,9 +124,9 @@ func TestStatementSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reader := root.NewSession("r")
-	defer reader.Cat.Release()
+	defer reader.CloseSession()
 	writer := root.NewSession("w")
-	defer writer.Cat.Release()
+	defer writer.CloseSession()
 
 	end := reader.BeginStatement(context.Background())
 	r1, err := reader.Rel("E")

@@ -2,9 +2,14 @@ package exp
 
 import (
 	"encoding/csv"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/algos"
+	"repro/internal/dataset"
+	"repro/internal/ra"
 )
 
 // small keeps the structural tests fast; shape assertions use slightly
@@ -108,12 +113,34 @@ func TestUnionByUpdateTableShape(t *testing.T) {
 	if byName["merge"][3] != "-" || byName["merge"][1] == "-" {
 		t.Errorf("merge support cells: %v", byName["merge"])
 	}
-	// Shape: merge is slower than full outer join on Oracle (the paper's
-	// headline for Tables 4/5). Lenient factor for timing noise.
-	mergeMS := cellMS(t, byName["merge"][1])
-	fojMS := cellMS(t, byName["full outer join"][1])
-	if mergeMS < fojMS*0.9 {
-		t.Errorf("expected merge >= full outer join: %.1f vs %.1f", mergeMS, fojMS)
+	// Every supported cell reaches the same PageRank fixpoint: equal row
+	// count and RelChecksum across implementations and profiles. The
+	// paper's time ordering (merge slower than full outer join on Oracle)
+	// is reported by cmd/bench and EXPERIMENTS.md; two ~13 ms wall-clock
+	// cells are too noisy to pin in a unit test.
+	d, err := dataset.ByCode("WG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Nodes: 400, Seed: 1, Iters: 6}.defaults()
+	g := d.Generate(cfg.Nodes, cfg.Seed)
+	want := ""
+	for _, impl := range []ra.UBUImpl{ra.UBUUpdateFrom, ra.UBUMerge, ra.UBUFullOuter, ra.UBUReplace} {
+		for i, prof := range profiles() {
+			if byName[impl.String()][1+i] == "-" {
+				continue
+			}
+			res, err := algos.RunPageRank(newEngine(prof, cfg), g, algos.Params{Iters: cfg.Iters, UBU: impl})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", impl, prof.Name, err)
+			}
+			got := fmt.Sprintf("%d rows, checksum %s", res.Rel.Len(), RelChecksum(res.Rel))
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s on %s: %s, want %s", impl, prof.Name, got, want)
+			}
+		}
 	}
 }
 

@@ -363,8 +363,12 @@ func (x *Exec) execInsert(s *InsertStmt) error {
 		}
 		return nil
 	}
+	// Evaluate every row first, then append them in one table write: a
+	// multi-row INSERT is one version of the table, never observed torn by a
+	// concurrent reader, and a row that fails to evaluate inserts nothing.
 	empty := relation.New(schema.Schema{})
 	empty.Append(relation.Tuple{})
+	rows := relation.NewWithCap(t.Sch, len(s.Rows))
 	for _, row := range s.Rows {
 		if len(row) != t.Sch.Arity() {
 			return fmt.Errorf("sql: insert arity %d into %s%s", len(row), s.Table, t.Sch)
@@ -381,9 +385,7 @@ func (x *Exec) execInsert(s *InsertStmt) error {
 			}
 			tu[i] = v
 		}
-		if err := t.Insert(tu); err != nil {
-			return err
-		}
+		rows.Tuples = append(rows.Tuples, tu)
 	}
-	return nil
+	return t.InsertRelation(rows)
 }

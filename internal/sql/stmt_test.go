@@ -28,6 +28,27 @@ func TestCreateInsertSelectLifecycle(t *testing.T) {
 	if r.Len() != 2 || r.At(0)[0].S != "ada" || r.At(1)[1].AsFloat() != 3.5 {
 		t.Fatalf("lifecycle result: %v", r)
 	}
+	// A multi-row INSERT ... VALUES is one table write: a bad row inserts
+	// nothing, a good statement is one version however many rows it has.
+	users, err := x.Eng.Cat.Get("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver := users.Version()
+	bad, err := ParseStatement("insert into users values (4, 'ian', 1.0, true), (5, 'joe')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.ExecStatement(bad); err == nil {
+		t.Error("insert with a short row should fail")
+	}
+	if users.Rows() != 3 || users.Version() != ver {
+		t.Errorf("failed insert left %d rows at version %d, want 3 at %d", users.Rows(), users.Version(), ver)
+	}
+	execStmt(t, x, "insert into users values (4, 'ian', 1.0, false), (5, 'joe', 2.0, false)")
+	if users.Rows() != 5 || users.Version() != ver+1 {
+		t.Errorf("two-row insert: %d rows at version %d, want 5 at %d", users.Rows(), users.Version(), ver+1)
+	}
 	// INSERT ... SELECT.
 	execStmt(t, x, "create table vips (uid int, name varchar)")
 	execStmt(t, x, "insert into vips select uid, name from users where score > 3.6")

@@ -30,7 +30,6 @@ select ID from R`
 		set(root)
 		loadGraphDB(t, root, cycleGraph(8))
 		s := root.NewSession("s")
-		defer s.Cat.Release()
 		defer s.CloseSession()
 		end := s.BeginStatement(context.Background())
 		_, tr, err := Run(s, reach)

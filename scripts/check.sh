@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's fast verification gate:
 #   go vet over everything, the full test suite (the benchmark's nested
-#   module included, plus a short run of the benchmark itself), a
-#   race-detector pass over the packages with parallel or
+#   module included, plus short runs of the benchmark's point and ingest
+#   workloads), a race-detector pass over the packages with parallel or
 #   concurrently-observed executor paths (ra, engine, graphsql), and the
 #   chaos and bench gates.
 set -eu
@@ -14,10 +14,13 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== benchmark module (its own tests + a short served run, exit status only)"
+echo "== benchmark module (its own tests + short served runs, exit status only)"
 # Tier-1 does not descend into the nested module.
 (cd benchmark && go test ./...)
 bash benchmark/run.sh -workload point -seconds 6 > /dev/null
+# ingest is the only served workload that writes; its shadow oracle exits
+# non-zero on any answer a torn or stale snapshot would produce.
+bash benchmark/run.sh -workload ingest -seconds 6 > /dev/null
 
 echo "== go test -race (parallel executor + concurrent-session packages)"
 go test -race ./internal/relation/... ./internal/ra/... ./internal/engine/... \
