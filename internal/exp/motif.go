@@ -92,8 +92,11 @@ var motifExp = &Experiment{
 	Gate: Rule{
 		OnUsed:    []string{"wcoj_probes"},
 		OffUnused: []string{"wcoj_probes", "wcoj_builds"},
-		Speedup:   2.0,
-		Carries:   func(r Record) bool { return r.Name == "TRIANGLE" },
+		// Every motif query is a global count(*) the multiway node folds:
+		// the on-side materializes only the one result row.
+		OnAtMost: map[string]int64{"tuples_materialized": 1},
+		Speedup:  2.0,
+		Carries:  func(r Record) bool { return r.Name == "TRIANGLE" },
 	},
 	cells: func(cfg Config) ([]cell, error) {
 		cfg = cfg.defaults()

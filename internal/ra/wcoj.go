@@ -2,6 +2,7 @@ package ra
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/govern"
 	"repro/internal/relation"
@@ -48,21 +49,27 @@ type WCOJAtom struct {
 
 // WCOJSpec is a full multiway-join instance: the atoms, the number of
 // variables, and the elimination order (a permutation of [0, NumVars)).
-// Every variable must be bound by at least one atom.
+// Every variable must be bound by at least one atom. Count asks for the
+// size of the join instead of its tuples: each full binding adds the
+// product of its atoms' match-list lengths, and nothing is emitted.
 type WCOJSpec struct {
 	Atoms   []WCOJAtom
 	NumVars int
 	Order   []int
 	Gov     *govern.Governor
+	Count   bool
 }
 
 // WCOJStats reports the work done by one execution: Builds counts hash
 // tries constructed (CSR-backed atoms contribute zero — their sorted backing
 // is the cached CSR, charged through the engine's CSR counters), Probes
-// counts candidate-value intersection probes across all levels.
+// counts candidate-value intersection probes across all levels. Tuples is
+// the size of the join — the emitted relation's length, or in count mode
+// the whole answer.
 type WCOJStats struct {
 	Builds int64
 	Probes int64
+	Tuples int64
 }
 
 // wcojLevel is one trie level of an atom: the columns carrying the level's
@@ -113,7 +120,7 @@ func (n *trieNode) put(v value.Value) int32 {
 
 // atomState is the per-atom execution state: its levels in elimination
 // order, and either a trie with a descent path or a CSR with the bound
-// source ordinal and its lazily grouped edge block.
+// source ordinal's grouped edge block.
 type atomState struct {
 	rel    *relation.Relation
 	levels []wcojLevel
@@ -124,18 +131,43 @@ type atomState struct {
 
 	// CSR fast path (binary atoms only).
 	csr    *relation.CSR
-	ord    int32 // bound source ordinal after level 0
-	block  *csrBlock
+	block  *csrBlock   // the bound source ordinal's block after level 0
 	blocks []*csrBlock // memoized per source ordinal
-	dstPos int32       // bound position in block.dsts after level 1
+	// seen and the edge buffers are blockFor's scratch: seen[dst] is the
+	// target ordinal's position+1 in the block being grouped (0 = unseen).
+	seen           []int32
+	bufDst, bufRow []int32
+
+	pos int32 // bound key position at the last level: block.dsts or leaf keys
 }
 
 // csrBlock is one source ordinal's edges grouped by target ordinal: dsts in
-// first-seen edge order, rows[k] the relation rows whose target is dsts[k].
+// first-seen edge order, the rows of dsts[k] at rows[starts[k]:starts[k+1]].
+// slots is an open-addressing index over dsts (position+1, 0 = empty; a
+// power-of-two length at most half full) that a probe hashes into, so dsts
+// keeps the first-seen order emission follows.
 type csrBlock struct {
-	dsts []int32
-	rows [][]int32
-	pos  map[int32]int32 // target ordinal -> index into dsts
+	dsts   []int32
+	starts []int32
+	rows   []int32
+	slots  []int32
+	shift  uint8
+}
+
+// slot is the home slot of target ordinal dst (Fibonacci hashing).
+func (b *csrBlock) slot(dst int32) uint32 {
+	return uint32(dst) * 0x9E3779B1 >> b.shift
+}
+
+// find returns the position of target ordinal dst in dsts, or -1.
+func (b *csrBlock) find(dst int32) int32 {
+	mask := uint32(len(b.slots) - 1)
+	for i := b.slot(dst); ; i = (i + 1) & mask {
+		k := b.slots[i] - 1
+		if k < 0 || b.dsts[k] == dst {
+			return k
+		}
+	}
 }
 
 // levelsFor groups an atom's VarCols into per-variable levels ordered by the
@@ -211,36 +243,56 @@ rows:
 // walking the CSR main block then the tail chain (ascending row order, the
 // same order a trie build over the rows would see them).
 func (a *atomState) blockFor(ord int32) *csrBlock {
-	if int(ord) < len(a.blocks) && a.blocks[ord] != nil {
-		return a.blocks[ord]
+	if b := a.blocks[ord]; b != nil {
+		return b
 	}
-	b := &csrBlock{pos: make(map[int32]int32)}
 	c := a.csr
-	add := func(dst, row int32) {
-		k, ok := b.pos[dst]
-		if !ok {
-			k = int32(len(b.dsts))
-			b.pos[dst] = k
-			b.dsts = append(b.dsts, dst)
-			b.rows = append(b.rows, nil)
-		}
-		b.rows[k] = append(b.rows[k], row)
-	}
+	dst, rows := a.bufDst[:0], a.bufRow[:0]
 	if int(ord)+1 < len(c.Offsets) {
-		for e := c.Offsets[ord]; e < c.Offsets[ord+1]; e++ {
-			add(c.Targets[e], c.Rows[e])
-		}
+		lo, hi := c.Offsets[ord], c.Offsets[ord+1]
+		dst, rows = append(dst, c.Targets[lo:hi]...), append(rows, c.Rows[lo:hi]...)
 	}
 	if int(ord) < len(c.TailHead) {
 		for e := c.TailHead[ord]; e >= 0; e = c.TailNext[e] {
-			add(c.TailTargets[e], c.TailRows[e])
+			dst, rows = append(dst, c.TailTargets[e]), append(rows, c.TailRows[e])
 		}
 	}
-	if int(ord) >= len(a.blocks) {
-		grown := make([]*csrBlock, ord+1)
-		copy(grown, a.blocks)
-		a.blocks = grown
+	// Number the targets in first-seen order, counting each one's edges
+	// into starts[k+1]; the prefix sum then places every row.
+	b := &csrBlock{starts: []int32{0}}
+	for _, d := range dst {
+		k := a.seen[d] - 1
+		if k < 0 {
+			k = int32(len(b.dsts))
+			a.seen[d] = k + 1
+			b.dsts = append(b.dsts, d)
+			b.starts = append(b.starts, 0)
+		}
+		b.starts[k+1]++
 	}
+	for k := range b.dsts {
+		b.starts[k+1] += b.starts[k]
+	}
+	b.rows = make([]int32, len(rows))
+	lg := uint8(bits.Len(uint(2 * len(b.dsts))))
+	b.slots, b.shift = make([]int32, 1<<lg), 32-lg
+	mask := uint32(len(b.slots) - 1)
+	for k, d := range b.dsts {
+		a.seen[d] = b.starts[k] + 1 // reused as the placement cursor
+		i := b.slot(d)
+		for b.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.slots[i] = int32(k) + 1
+	}
+	for e, d := range dst {
+		b.rows[a.seen[d]-1] = rows[e]
+		a.seen[d]++
+	}
+	for _, d := range b.dsts {
+		a.seen[d] = 0
+	}
+	a.bufDst, a.bufRow = dst, rows
 	a.blocks[ord] = b
 	return b
 }
@@ -257,71 +309,62 @@ func (a *atomState) count(depth int) int {
 	return len(a.path[depth].keys)
 }
 
-// iterate calls f for each distinct candidate value at the atom's depth-th
-// level, in deterministic first-seen order; f returning false stops early.
-func (a *atomState) iterate(depth int, f func(v value.Value) bool) {
+// key returns the candidate value at position pos of the atom's depth-th
+// level; positions run over [0, count(depth)) in deterministic first-seen
+// order.
+func (a *atomState) key(depth int, pos int32) value.Value {
 	if a.csr != nil {
 		if depth == 0 {
-			for _, k := range a.csr.Src.Keys {
-				if !f(k) {
-					return
-				}
-			}
-			return
+			return a.csr.Src.Keys[pos]
 		}
-		for _, d := range a.block.dsts {
-			if !f(a.csr.Dst.Keys[d]) {
-				return
-			}
-		}
-		return
+		return a.csr.Dst.Keys[a.block.dsts[pos]]
 	}
-	for _, k := range a.path[depth].keys {
-		if !f(k) {
-			return
-		}
-	}
+	return a.path[depth].keys[pos]
 }
 
-// descend binds the atom's depth-th level to v, reporting whether any row
-// matches. A successful descend must be undone with ascend.
-func (a *atomState) descend(depth int, v value.Value) bool {
+// find resolves v to its candidate position at the atom's depth-th level,
+// or -1 when no row offers it. On the CSR path both levels resolve through
+// the dictionaries' dense-id maps.
+func (a *atomState) find(depth int, v value.Value) int32 {
+	if a.csr == nil {
+		return a.path[depth].child(v)
+	}
+	if depth == 0 {
+		ord, ok := a.csr.Src.Lookup(v)
+		if !ok {
+			return -1
+		}
+		return ord
+	}
+	dst, ok := a.csr.Dst.Lookup(v)
+	if !ok {
+		return -1
+	}
+	return a.block.find(dst)
+}
+
+// bind binds the atom's depth-th level to candidate position pos, reporting
+// whether any row matches. A successful bind must be undone with ascend.
+func (a *atomState) bind(depth int, pos int32) bool {
 	if a.csr != nil {
 		if depth == 0 {
-			ord, ok := a.csr.SrcOrd(v)
-			if !ok {
-				return false
-			}
-			a.ord = ord
-			a.block = a.blockFor(ord)
+			a.block = a.blockFor(pos)
 			return len(a.block.dsts) > 0
 		}
-		dst, ok := a.csr.Dst.Lookup(v)
-		if !ok {
-			return false
-		}
-		k, ok := a.block.pos[dst]
-		if !ok {
-			return false
-		}
-		a.dstPos = k
+		a.pos = pos
 		return true
 	}
 	n := a.path[depth]
-	pos := n.child(v)
-	if pos < 0 {
-		return false
-	}
 	if depth == len(a.levels)-1 {
-		a.path = append(a.path, n) // leaf: stay, rows() reads n.rows via child pos
-		a.dstPos = pos
+		a.path = append(a.path, n) // leaf: stay, matchRows reads n.leafRows[pos]
+		a.pos = pos
 		return true
 	}
 	a.path = append(a.path, n.kids[pos])
 	return true
 }
 
-// ascend undoes the most recent successful descend.
+// ascend undoes the most recent successful bind.
 func (a *atomState) ascend(depth int) {
 	if a.csr != nil {
 		if depth == 0 {
@@ -336,26 +379,20 @@ func (a *atomState) ascend(depth int) {
 // are bound.
 func (a *atomState) matchRows() []int32 {
 	if a.csr != nil {
-		return a.block.rows[a.dstPos]
+		b := a.block
+		return b.rows[b.starts[a.pos]:b.starts[a.pos+1]]
 	}
-	leaf := a.path[len(a.path)-1]
-	// The leaf descend parked the node itself with dstPos = key position;
-	// interior tries store per-key row lists only at the last level, so the
-	// rows live on the child-key granularity: rebuild via kids when present.
-	return leaf.rowsAt(a.dstPos)
-}
-
-// rowsAt returns the rows recorded under key position pos of a leaf-level
-// node.
-func (n *trieNode) rowsAt(pos int32) []int32 {
-	return n.leafRows[pos]
+	return a.path[len(a.path)-1].leafRows[a.pos]
 }
 
 // WCOJ executes the generic-join multiway intersection and returns the
 // joined relation — schema and bag contents identical to the equivalent
-// binary join tree over the same atoms — plus the work counters. The spec
-// must be well-formed (every variable bound by an atom, Order a permutation
-// of the variables); malformed specs panic, as they indicate a planner bug.
+// binary join tree over the same atoms — plus the work counters; in count
+// mode the relation is nil and stats.Tuples is the answer. Both modes walk
+// the same search tree and charge the governor alike: one step per
+// candidate and one per joined tuple. The spec must be well-formed (every
+// variable bound by an atom, Order a permutation of the variables);
+// malformed specs panic, as they indicate a planner bug.
 func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 	var stats WCOJStats
 	if len(spec.Atoms) == 0 {
@@ -394,6 +431,8 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 		st := &atomState{rel: a.Rel, levels: levelsFor(a, pos)}
 		if usableCSR(a, st.levels) {
 			st.csr = a.CSR
+			st.blocks = make([]*csrBlock, a.CSR.NumSrc())
+			st.seen = make([]int32, len(a.CSR.Dst.Keys))
 		} else {
 			st.root = buildTrie(a.Rel, st.levels)
 			st.path = []*trieNode{st.root}
@@ -436,7 +475,16 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 	var solve func(depth int)
 	solve = func(depth int) {
 		if depth == len(spec.Order) {
-			emit(0)
+			if !spec.Count {
+				emit(0)
+				return
+			}
+			m := 1
+			for _, a := range atoms {
+				m *= len(a.matchRows())
+			}
+			spec.Gov.MustStep(m)
+			stats.Tuples += int64(m)
 			return
 		}
 		v := spec.Order[depth]
@@ -449,27 +497,35 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 				best, it = c, r
 			}
 		}
-		atoms[it.atom].iterate(it.level, func(cand value.Value) bool {
+		for p := int32(0); p < int32(best); p++ {
 			spec.Gov.MustStep(1)
+			cand := atoms[it.atom].key(it.level, p)
 			bound := 0
-			ok := true
 			for _, r := range refs {
 				stats.Probes++
-				if !atoms[r.atom].descend(r.level, cand) {
-					ok = false
+				a := atoms[r.atom]
+				// The iterating atom offers cand at p by construction.
+				pos := p
+				if r != it {
+					pos = a.find(r.level, cand)
+				}
+				if pos < 0 || !a.bind(r.level, pos) {
 					break
 				}
 				bound++
 			}
-			if ok {
+			if bound == len(refs) {
 				solve(depth + 1)
 			}
 			for k := 0; k < bound; k++ {
 				atoms[refs[k].atom].ascend(refs[k].level)
 			}
-			return true
-		})
+		}
 	}
 	solve(0)
+	if spec.Count {
+		return nil, stats
+	}
+	stats.Tuples = int64(out.Len())
 	return out, stats
 }

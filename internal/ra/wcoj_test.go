@@ -1,9 +1,11 @@
 package ra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/govern"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -184,6 +186,50 @@ func TestWCOJRandomVsBinary(t *testing.T) {
 		got, _ := WCOJ(triangleSpec(e1, e2, e3))
 		if !got.Equal(want) {
 			t.Fatalf("seed %d: wcoj %d rows, binary %d rows", seed, got.Len(), want.Len())
+		}
+	}
+}
+
+func TestWCOJCountModeMatchesEmission(t *testing.T) {
+	// Count mode walks the same search tree as emission: same probes, same
+	// builds, the same governor charge, and the emitted relation's length
+	// as its answer — over tries and over CSR backings, with duplicate
+	// edges so multiplicities multiply.
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var edges [][2]int64
+		for i := 0; i < 60; i++ {
+			e := [2]int64{rng.Int63n(9), rng.Int63n(9)}
+			edges = append(edges, e)
+			if rng.Intn(2) == 0 {
+				edges = append(edges, e) // a duplicate edge
+			}
+		}
+		e1, e2, e3 := edgeRel("E1", edges), edgeRel("E2", edges), edgeRel("E3", edges)
+		for _, csr := range []bool{false, true} {
+			run := func(count bool) (*relation.Relation, WCOJStats, int64) {
+				spec := triangleSpec(e1, e2, e3)
+				if csr {
+					spec.Atoms[0].CSR = relation.BuildCSR(e1, 0, 1, -1)
+					spec.Atoms[1].CSR = relation.BuildCSR(e2, 0, 1, -1)
+					spec.Atoms[2].CSR = relation.BuildCSR(e3, 1, 0, -1)
+				}
+				spec.Gov = govern.New(context.Background(), govern.Limits{})
+				spec.Count = count
+				out, stats := WCOJ(spec)
+				return out, stats, spec.Gov.Rows()
+			}
+			out, emit, emitRows := run(false)
+			none, count, countRows := run(true)
+			if none != nil {
+				t.Fatalf("seed %d: count mode emitted %d tuples", seed, none.Len())
+			}
+			if count.Tuples != int64(out.Len()) || emit.Tuples != int64(out.Len()) {
+				t.Fatalf("seed %d csr=%v: count %d, emit stats %d, emitted %d", seed, csr, count.Tuples, emit.Tuples, out.Len())
+			}
+			if count.Probes != emit.Probes || count.Builds != emit.Builds || countRows != emitRows {
+				t.Fatalf("seed %d csr=%v: count mode %+v rows %d, emission %+v rows %d", seed, csr, count, countRows, emit, emitRows)
+			}
 		}
 	}
 }

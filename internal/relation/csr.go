@@ -1,10 +1,6 @@
 package relation
 
-import (
-	"math"
-
-	"repro/internal/value"
-)
+import "repro/internal/value"
 
 // CSR is a compressed-sparse-row adjacency index over one relation — the
 // physical access path for "join = adjacency extend" workloads. Rows are
@@ -29,9 +25,9 @@ type CSR struct {
 	SrcCol, DstCol, WCol int
 
 	// Src dictionary-encodes SrcCol; Dst (when DstCol >= 0) encodes DstCol.
-	// Probes resolve a key to its source ordinal through Src (or the dense
-	// int fast path below); group folds resolve Targets back to values
-	// through Dst.Keys.
+	// Probes resolve a key to its source ordinal through Src (one array
+	// load for dense integer IDs); group folds resolve Targets back to
+	// values through Dst.Keys.
 	Src *ColumnDict
 	Dst *ColumnDict
 
@@ -56,20 +52,9 @@ type CSR struct {
 	TailTargets []int32
 	TailWeights []value.Value
 
-	// denseSrc maps small non-negative integer source keys directly to
-	// ordinal+1 (0 = absent), replacing the hash-and-bucket Lookup with one
-	// array load when every source key is an integral numeric in range —
-	// the dense node-ID case of graph workloads. nil falls back to Src's
-	// buckets.
-	denseSrc []int32
-
 	rel *Relation
 	n   int // rows encoded so far (main + tail)
 }
-
-// denseSrcSlack bounds the dense source map's size relative to the number of
-// distinct keys, so a few huge IDs cannot blow the array up.
-const denseSrcSlack = 4
 
 // BuildCSR builds the adjacency index over rel, grouping rows by the srcCol
 // value. dstCol and wCol are optional (-1): when present, Targets and
@@ -113,80 +98,24 @@ func BuildCSR(rel *Relation, srcCol, dstCol, wCol int) *CSR {
 		}
 	}
 	c.n = n
-	c.rebuildDense()
 	return c
 }
 
-// denseKey extracts the dense-map index of a key value: integral numerics
-// (Int, or Float with an integral value — value.Equal treats Int(3) and
-// Float(3.0) as the same key) map to their integer; everything else is
-// unmappable.
-func denseKey(v value.Value) (int64, bool) {
-	switch v.K {
-	case value.KindInt:
-		return v.I, true
-	case value.KindFloat:
-		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
-			return int64(v.F), true
-		}
-	}
-	return 0, false
-}
-
-// rebuildDense (re)derives the dense integer source map, or disables it when
-// the key set is not dense non-negative integers.
-func (c *CSR) rebuildDense() {
-	c.denseSrc = nil
-	keys := c.Src.Keys
-	maxID := int64(-1)
-	for _, k := range keys {
-		id, ok := denseKey(k)
-		if !ok || id < 0 {
-			return
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if maxID+1 > int64(denseSrcSlack*len(keys)+1024) {
-		return
-	}
-	d := make([]int32, maxID+1)
-	for ord, k := range keys {
-		id, _ := denseKey(k)
-		d[id] = int32(ord) + 1
-	}
-	c.denseSrc = d
-}
-
-// SrcOrd resolves a probe key to its source ordinal: one array load on the
-// dense-integer fast path, a bucket lookup with value.Equal semantics
-// otherwise. The match semantics are identical to a HashIndex probe on
-// {SrcCol} — cross-kind numeric equality included.
-func (c *CSR) SrcOrd(v value.Value) (int32, bool) {
-	if d := c.denseSrc; d != nil {
-		id, ok := denseKey(v)
-		if !ok || id < 0 || id >= int64(len(d)) {
-			return 0, false
-		}
-		ord := d[id]
-		return ord - 1, ord > 0
-	}
-	return c.Src.Lookup(v)
-}
+// SrcOrd resolves a probe key to its source ordinal through Src. The match
+// semantics are identical to a HashIndex probe on {SrcCol} — cross-kind
+// numeric equality included.
+func (c *CSR) SrcOrd(v value.Value) (int32, bool) { return c.Src.Lookup(v) }
 
 // Extend encodes the rows appended to the relation since the build (or last
 // Extend) into the per-source tail chains. The source and target
-// dictionaries extend in place (retained buckets, no rebuild), new source
-// ordinals get empty main blocks implicitly, and the dense integer map grows
-// incrementally — falling back to bucket lookups if an appended key breaks
-// its density assumptions. This is the in-place append fast path:
+// dictionaries extend in place (retained buckets and dense maps, no
+// rebuild) and new source ordinals get empty main blocks implicitly. This
+// is the in-place append fast path:
 // accumulation-only writes never invalidate previously encoded rows.
 func (c *CSR) Extend(rel *Relation) {
 	if rel.Len() == c.n {
 		return
 	}
-	prevKeys := len(c.Src.Keys)
 	c.Src.Extend(rel)
 	if c.Dst != nil {
 		c.Dst.Extend(rel)
@@ -230,43 +159,6 @@ func (c *CSR) Extend(rel *Relation) {
 		tailTail[ord] = e
 	}
 	c.n = rel.Len()
-	if len(c.Src.Keys) > prevKeys {
-		c.extendDense(prevKeys)
-	}
-}
-
-// extendDense grows the dense integer map for keys added since prevKeys,
-// disabling it when a new key is non-integral, negative, or would make the
-// array too sparse.
-func (c *CSR) extendDense(prevKeys int) {
-	if c.denseSrc == nil {
-		return
-	}
-	keys := c.Src.Keys
-	maxID := int64(len(c.denseSrc)) - 1
-	for ord := prevKeys; ord < len(keys); ord++ {
-		id, ok := denseKey(keys[ord])
-		if !ok || id < 0 {
-			c.denseSrc = nil
-			return
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if maxID+1 > int64(denseSrcSlack*len(keys)+1024) {
-		c.denseSrc = nil
-		return
-	}
-	if maxID+1 > int64(len(c.denseSrc)) {
-		grown := make([]int32, maxID+1)
-		copy(grown, c.denseSrc)
-		c.denseSrc = grown
-	}
-	for ord := prevKeys; ord < len(keys); ord++ {
-		id, _ := denseKey(keys[ord])
-		c.denseSrc[id] = int32(ord) + 1
-	}
 }
 
 // Rel returns the indexed relation; like HashIndex.Rel, callers use it to

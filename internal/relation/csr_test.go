@@ -188,7 +188,7 @@ func TestCSRDenseFallback(t *testing.T) {
 	// through the dictionary buckets.
 	rel := edgeRel([][3]int64{{0, 1, 1}, {1 << 40, 2, 1}, {3, 4, 1}})
 	c := BuildCSR(rel, 0, 1, 2)
-	if c.denseSrc != nil {
+	if !c.Src.sparse {
 		t.Fatal("dense map should be disabled for sparse IDs")
 	}
 	assertCSRMatchesHash(t, rel, c, []value.Value{
@@ -197,7 +197,7 @@ func TestCSRDenseFallback(t *testing.T) {
 	// Extending with a sparse ID after a dense build also falls back.
 	rel2 := edgeRel([][3]int64{{0, 1, 1}, {1, 2, 1}})
 	c2 := BuildCSR(rel2, 0, 1, 2)
-	if c2.denseSrc == nil {
+	if c2.Src.sparse {
 		t.Fatal("dense map should be enabled for small IDs")
 	}
 	rel2.Append(Tuple{value.Int(1 << 40), value.Int(0), value.Float(1)})
@@ -236,5 +236,100 @@ func TestColumnDictLookup(t *testing.T) {
 	}
 	if _, ok := d.Lookup(value.Str("missing")); ok {
 		t.Fatal("Lookup of absent value matched")
+	}
+}
+
+// dictProbes is the probe set of the dense-map tests: cross-kind numerics,
+// negatives, NULL, a string, out-of-range and non-integral values.
+var dictProbes = []value.Value{
+	value.Int(0), value.Int(3), value.Float(3.0), value.Float(3.5), value.Float(-0.0),
+	value.Int(-1), value.Int(-5), value.Float(-1.0), value.Null, value.Str("3"),
+	value.Int(1 << 40), value.Float(1e300), value.Int(2047), value.Int(9),
+}
+
+// assertDenseMatchesBuckets checks that Lookup agrees with the bucket path
+// of the same dictionary on every key and every probe.
+func assertDenseMatchesBuckets(t *testing.T, d *ColumnDict) {
+	t.Helper()
+	buckets := *d
+	buckets.dense, buckets.sparse = nil, true
+	for _, v := range append(append([]value.Value(nil), d.Keys...), dictProbes...) {
+		ord, ok := d.Lookup(v)
+		wantOrd, wantOK := buckets.Lookup(v)
+		if ok != wantOK || ok && ord != wantOrd {
+			t.Fatalf("Lookup(%v) = (%d,%v), bucket path (%d,%v)", v, ord, ok, wantOrd, wantOK)
+		}
+	}
+}
+
+func dictOf(vals ...value.Value) *Relation {
+	r := New(schema.Schema{{Name: "X"}})
+	for _, v := range vals {
+		r.Append(Tuple{v})
+	}
+	return r
+}
+
+func TestColumnDictDenseMatchesBuckets(t *testing.T) {
+	cases := []struct {
+		name   string
+		vals   []value.Value
+		sparse bool
+	}{
+		{"ints", []value.Value{value.Int(5), value.Int(3), value.Int(0), value.Int(3), value.Int(9)}, false},
+		{"integral_floats", []value.Value{value.Float(3.0), value.Int(1), value.Float(7)}, false},
+		{"negative_id", []value.Value{value.Int(2), value.Int(-1), value.Int(3)}, true},
+		{"null_key", []value.Value{value.Int(2), value.Null, value.Int(3)}, true},
+		{"fractional_key", []value.Value{value.Int(2), value.Float(3.5)}, true},
+		{"string_key", []value.Value{value.Int(3), value.Str("3")}, true},
+		{"sparse_ids", []value.Value{value.Int(0), value.Int(1 << 40), value.Int(3)}, true},
+		{"empty", nil, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := BuildColumnDict(dictOf(tc.vals...), 0)
+			if d.sparse != tc.sparse {
+				t.Fatalf("sparse = %v, want %v", d.sparse, tc.sparse)
+			}
+			assertDenseMatchesBuckets(t, d)
+		})
+	}
+	// Int(3) and Float(3.0) are one key: the dense map resolves either probe
+	// to the ordinal of whichever kind was encoded.
+	d := BuildColumnDict(dictOf(value.Int(1), value.Float(3.0)), 0)
+	if ord, ok := d.Lookup(value.Int(3)); !ok || ord != 1 {
+		t.Fatalf("Lookup(Int(3)) over Float(3.0) key = (%d,%v), want (1,true)", ord, ok)
+	}
+}
+
+func TestColumnDictDenseExtend(t *testing.T) {
+	r := dictOf(value.Int(0), value.Int(1), value.Int(2))
+	d := BuildColumnDict(r, 0)
+	// Appends that keep the keys dense grow the map in place.
+	r.Append(Tuple{value.Int(40)})
+	r.Append(Tuple{value.Float(41)})
+	r.Append(Tuple{value.Int(1)})
+	d.Extend(r)
+	if d.sparse {
+		t.Fatal("dense appends disabled the map")
+	}
+	assertDenseMatchesBuckets(t, d)
+	// An appended key that breaks density falls back to the buckets for
+	// good, and every earlier key still resolves.
+	for _, v := range []value.Value{value.Int(1 << 40), value.Int(-3), value.Null} {
+		rr := dictOf(r.Tuples[0][0], r.Tuples[3][0])
+		dd := BuildColumnDict(rr, 0)
+		rr.Append(Tuple{v})
+		rr.Append(Tuple{value.Int(7)})
+		dd.Extend(rr)
+		if !dd.sparse {
+			t.Fatalf("appending %v kept the dense map", v)
+		}
+		assertDenseMatchesBuckets(t, dd)
+		for row := range rr.Tuples {
+			if ord, ok := dd.Lookup(rr.Tuples[row][0]); !ok || ord != dd.Ords[row] {
+				t.Fatalf("row %d key %v: Lookup = (%d,%v), want (%d,true)", row, rr.Tuples[row][0], ord, ok, dd.Ords[row])
+			}
+		}
 	}
 }

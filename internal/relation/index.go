@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/value"
@@ -125,7 +126,18 @@ type ColumnDict struct {
 	// retained after the build so Extend can encode appended rows without
 	// rebuilding the dictionary from scratch.
 	buckets map[uint64][]int32
+	// dense maps small non-negative integral keys directly to ordinal+1
+	// (0 = absent), so Lookup is one array load when every key is an
+	// integral numeric in range — the dense node-ID case of graph
+	// workloads. sparse records that some key broke that shape; Lookup then
+	// uses the buckets.
+	dense  []int32
+	sparse bool
 }
+
+// denseSlack bounds the dense map's size relative to the number of distinct
+// keys, so a few huge IDs cannot blow the array up.
+const denseSlack = 4
 
 // BuildColumnDict dictionary-encodes the column.
 func BuildColumnDict(rel *Relation, col int) *ColumnDict {
@@ -143,6 +155,7 @@ func BuildColumnDict(rel *Relation, col int) *ColumnDict {
 // incremental-maintenance path for accumulation-only writes: appends extend
 // Keys/Ords in place and never invalidate previously encoded rows.
 func (d *ColumnDict) Extend(rel *Relation) {
+	prevKeys := len(d.Keys)
 	cols := []int{d.Col}
 	for i := len(d.Ords); i < rel.Len(); i++ {
 		t := rel.Tuples[i]
@@ -161,13 +174,74 @@ func (d *ColumnDict) Extend(rel *Relation) {
 		}
 		d.Ords = append(d.Ords, ord)
 	}
+	if len(d.Keys) > prevKeys {
+		d.extendDense(prevKeys)
+	}
+}
+
+// denseKey extracts the dense-map index of a key value: integral numerics
+// (Int, or Float with an integral value — value.Equal treats Int(3) and
+// Float(3.0) as the same key) map to their integer; everything else is
+// unmappable.
+func denseKey(v value.Value) (int64, bool) {
+	switch v.K {
+	case value.KindInt:
+		return v.I, true
+	case value.KindFloat:
+		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F < math.MaxInt64 {
+			return int64(v.F), true
+		}
+	}
+	return 0, false
+}
+
+// extendDense maps the keys added since prevKeys (all of them on the
+// build), switching the dictionary to bucket lookups for good when a new
+// key is non-integral, negative, or would make the array too sparse.
+func (d *ColumnDict) extendDense(prevKeys int) {
+	if d.sparse {
+		return
+	}
+	maxID := int64(len(d.dense)) - 1
+	for _, k := range d.Keys[prevKeys:] {
+		id, ok := denseKey(k)
+		if !ok || id < 0 {
+			d.dense, d.sparse = nil, true
+			return
+		}
+		maxID = max(maxID, id)
+	}
+	if maxID+1 > int64(denseSlack*len(d.Keys)+1024) {
+		d.dense, d.sparse = nil, true
+		return
+	}
+	if maxID+1 > int64(len(d.dense)) {
+		grown := make([]int32, maxID+1)
+		copy(grown, d.dense)
+		d.dense = grown
+	}
+	for ord := prevKeys; ord < len(d.Keys); ord++ {
+		id, _ := denseKey(d.Keys[ord])
+		d.dense[id] = int32(ord) + 1
+	}
 }
 
 // Lookup resolves a value to its ordinal among the dictionary's distinct
 // keys, with the same equality semantics as the encode path (value.Equal —
-// cross-kind numeric equality, NULL equals NULL). ok is false when the value
-// never occurred in the encoded column.
+// cross-kind numeric equality, NULL equals NULL): one array load on the
+// dense-integer fast path, a bucket lookup otherwise. ok is false when the
+// value never occurred in the encoded column.
 func (d *ColumnDict) Lookup(v value.Value) (int32, bool) {
+	if !d.sparse {
+		// Every key is a small non-negative integer, so a value that maps
+		// to no slot equals no key.
+		id, ok := denseKey(v)
+		if !ok || uint64(id) >= uint64(len(d.dense)) {
+			return 0, false
+		}
+		ord := d.dense[id]
+		return ord - 1, ord > 0
+	}
 	h := value.HashCombine(0, v)
 	for _, cand := range d.buckets[h] {
 		if d.Keys[cand].Equal(v) {

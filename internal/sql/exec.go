@@ -9,6 +9,7 @@ import (
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // Exec evaluates SELECT statements against an engine's catalog. Override
@@ -185,6 +186,8 @@ func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) *rel
 }
 
 // multiwayJoin runs the cyclic core through the worst-case-optimal join.
+// A node with a folded count(*) counts the join instead and returns the
+// aggregate's one row.
 func (x *Exec) multiwayJoin(n *planNode, ins []*relation.Relation, t0 time.Time) *relation.Relation {
 	wp := n.join.wcoj
 	atoms := make([]ra.WCOJAtom, len(wp.Atoms))
@@ -195,8 +198,16 @@ func (x *Exec) multiwayJoin(n *planNode, ins []*relation.Relation, t0 time.Time)
 			atoms[k].CSR, _ = x.Eng.OpenBuildSide(n.kids[k].ref.Name, engine.CachedCSR, []int{sc}, dc)
 		}
 	}
-	out, stats := ra.WCOJ(ra.WCOJSpec{Atoms: atoms, NumVars: wp.NumVars, Order: wp.Order, Gov: x.Eng.Gov()})
+	out, stats := ra.WCOJ(ra.WCOJSpec{Atoms: atoms, NumVars: wp.NumVars, Order: wp.Order, Gov: x.Eng.Gov(), Count: n.agg != nil})
 	x.Eng.CountWCOJ(stats.Builds, stats.Probes)
+	if n.agg != nil {
+		row := make(relation.Tuple, len(n.agg.calls))
+		for i := range row {
+			row[i] = value.Int(stats.Tuples)
+		}
+		out = relation.New(n.sch)
+		out.Append(row)
+	}
 	if x.Eng.Observing() {
 		sp := obs.Span{Op: "join", Algo: "wcoj", Note: "sql multiway generic join", Start: t0, OutRows: int64(out.Len()), Dur: time.Since(t0)}
 		sp.BytesMaterialized = int64(out.Len()) * int64(out.Sch.Arity()) * 16

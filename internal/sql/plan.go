@@ -63,7 +63,7 @@ type planNode struct {
 	vec   bool
 	pred  Expr
 	items []SelectItem
-	agg   *aggPlan
+	agg   *aggPlan // aggregate; on a multiway node, the folded count(*) calls
 
 	join     *joinPlan // outer join, equi-join, product, multiway join
 	sortCols []int
@@ -483,8 +483,29 @@ func (x *Exec) planAggregate(s *SelectStmt, in *planNode) (*planNode, error) {
 		}
 		a.virtual = append(a.virtual, col)
 	}
+	if foldsCount(s, in, a) {
+		in.agg, in.sch = a, a.virtual
+		return x.projectNode(items, in), nil
+	}
 	n := &planNode{op: opAggregate, stmt: s, agg: a, vec: x.vectorized(), sch: a.virtual, kids: []*planNode{in}}
 	return x.projectNode(items, n), nil
+}
+
+// foldsCount reports whether a global aggregate folds into the multiway
+// node beneath it: the aggregate reads the node directly (no residual
+// filter, no tail join between them), the block has no GROUP BY or HAVING,
+// and every call is count(*). The folded node counts the join's bindings
+// instead of materializing its tuples and returns the one aggregate row.
+func foldsCount(s *SelectStmt, in *planNode, a *aggPlan) bool {
+	if in.op != opMultiway || len(s.GroupBy) > 0 || s.Having != nil {
+		return false
+	}
+	for _, k := range a.kinds {
+		if k != ra.VecCountStar {
+			return false
+		}
+	}
+	return true
 }
 
 func aggName(i int) string { return fmt.Sprintf("__agg%d", i) }
@@ -565,7 +586,11 @@ func (n *planNode) label(est bool) string {
 	case opProduct:
 		return "nested-loop product"
 	case opMultiway:
-		return fmt.Sprintf("multiway generic join on %s via wcoj", exprList(n.join.keys, " and "))
+		l := fmt.Sprintf("multiway generic join on %s via wcoj", exprList(n.join.keys, " and "))
+		if n.agg != nil {
+			l += " (count(*) folded)"
+		}
+		return l
 	case opFilter:
 		return "filter " + ExprString(n.pred)
 	case opAggregate:

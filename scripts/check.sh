@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's fast verification gate:
 #   go vet over everything, the full test suite (the benchmark's nested
-#   module included, plus short runs of the benchmark's point and ingest
-#   workloads), a race-detector pass over the packages with parallel or
-#   concurrently-observed executor paths (ra, engine, graphsql), and the
-#   chaos and bench gates.
+#   module included, plus short runs of the benchmark's point, ingest and
+#   analytics workloads), a race-detector pass over the packages with
+#   parallel or concurrently-observed executor paths (ra, engine, graphsql),
+#   and the chaos and bench gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,6 +21,9 @@ bash benchmark/run.sh -workload point -seconds 6 > /dev/null
 # ingest is the only served workload that writes; its shadow oracle exits
 # non-zero on any answer a torn or stale snapshot would produce.
 bash benchmark/run.sh -workload ingest -seconds 6 > /dev/null
+# analytics carries the triangle count (a count(*) folded into the multiway
+# join); its brute-force triangle oracle checks the folded count end to end.
+bash benchmark/run.sh -workload analytics -seconds 6 > /dev/null
 
 echo "== go test -race (parallel executor + concurrent-session packages)"
 go test -race ./internal/relation/... ./internal/ra/... ./internal/engine/... \
@@ -44,7 +47,8 @@ go test ./internal/ra -run=NONE -bench 'BenchmarkSelectVectorized|BenchmarkGroup
 
 echo "== wcoj smoke (multiway vs binary differentials + chooser + operator)"
 go test ./internal/ra -run 'WCOJ' -count=1
-go test ./internal/sql -run 'WCOJDifferential|WCOJExplainAnalyze|ChooseWCOJ' -count=1
+go test ./internal/relation -run 'ColumnDictDense' -count=1
+go test ./internal/sql -run 'WCOJDifferential|WCOJExplainAnalyze|WCOJCountFold|ChooseWCOJ' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzWCOJVsBinary -fuzztime 5s
 
 echo "== server protocol fuzz smoke"
