@@ -706,7 +706,6 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 	if e.fusible(av, cv) {
 		var out *relation.Relation
 		var hit bool
-		var algo string
 		if e.csrUsable(av.Temp, av.Analyzed, av, aJoin, aKeep, ac.W) {
 			// CSR access path: one structure carries the adjacency, the
 			// group dictionary (Dst), and the weight column.
@@ -715,8 +714,8 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 			if err != nil {
 				return nil, err
 			}
+			// The kernel names its lane ("fused-csr" or "fused-csr f64").
 			out = ra.FusedMVJoinCSR(ar, cr, csr, cc, sr, e.Parallelism, e.gov, sp)
-			algo = "fused-csr"
 		} else {
 			var idx *relation.HashIndex
 			idx, hit, err = e.ensureHashIndex(av, []int{aJoin})
@@ -731,11 +730,12 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 				return nil, err
 			}
 			out = ra.FusedMVJoin(ar, cr, idx, dict, ac, cc, aKeep, sr, e.Parallelism, e.gov, sp)
-			algo = "fused-hash"
+			if sp != nil {
+				sp.Algo = "fused-hash"
+			}
 		}
 		out.Sch = sch
 		if sp != nil {
-			sp.Algo = algo
 			sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
 			sp.LeftRows, sp.RightRows, sp.OutRows = int64(ar.Len()), int64(cr.Len()), int64(out.Len())
 			sp.Dur = time.Since(sp.Start)

@@ -13,12 +13,13 @@ import (
 
 // This file implements the CSR variants of the fused aggregate-join kernels:
 // the same MV-join (Eq. (4)) and MM-join (Eq. (3)) folds, but driven by a
-// relation.CSR adjacency index instead of a hash index. Each morsel runs two
-// passes: a resolve pass that batch-encodes the frontier's source IDs into
-// ordinals (one dense-array load per tuple on integer node IDs), then an
-// extend pass that folds each tuple's contiguous Offsets[s]:Offsets[s+1]
-// block — sequential int32/Value array reads, no per-match hashing, key
-// comparison, or bucket indirection.
+// relation.CSR adjacency index instead of a hash index. A resolve pass
+// batch-encodes the frontier's source IDs into ordinals (one dense-array
+// load per tuple on integer node IDs) — once per call for the MV kernel, per
+// morsel for the MM kernel — then an extend pass folds each tuple's
+// contiguous Offsets[s]:Offsets[s+1] block: sequential int32/Value (or
+// float64) array reads, no per-match hashing, key comparison, or bucket
+// indirection.
 //
 // The morsel batches are deliberately NOT sorted by source ordinal: fold
 // order must stay probe-row order so group first-touch order — and therefore
@@ -34,7 +35,15 @@ import (
 // a.Tuples. The group dictionary is the CSR's own Dst dict — identical
 // ordinal assignment to the catalog's cached ColumnDict on aKeep (both
 // first-seen row order), so the output is byte-identical to FusedMVJoin's
-// dense path. sp is as in FusedMVJoin.
+// dense path. sp is as in FusedMVJoin; its Algo names the lane that ran.
+//
+// The fold runs in one of two lanes, chosen once per call. The float lane
+// folds unboxed float64 through the semiring's float form; it runs when
+// the semiring has one, the CSR carries float weights, and every probe-side
+// weight is KindFloat (checked by the resolve pass). Otherwise the boxed
+// lane folds value.Value through Plus and Times. Both fold in the same
+// order — probe-row order, then each source's main block, then its tail
+// chain — so for float operands their outputs agree bit for bit.
 func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr semiring.Semiring, workers int, gov *govern.Governor, sp *obs.Span) *relation.Relation {
 	if sp != nil {
 		defer observeFused(sp, c.Len(), workers)(time.Now())
@@ -43,30 +52,69 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 		{Name: "ID", Type: a.Sch[csr.DstCol].Type},
 		{Name: "vw", Type: value.KindFloat},
 	}
-	offsets, targets, weights := csr.Offsets, csr.Targets, csr.Weights
-	dg := runMorselsDense(c.Len(), workers, len(csr.Dst.Keys), sr, gov, func(dg *denseGroups, lo, hi int) {
-		ords := dg.scratchOrds(hi - lo)
-		for i, ct := range c.Tuples[lo:hi] {
-			if ord, ok := csr.SrcOrd(ct[cc.ID]); ok {
-				ords[i] = ord
-			} else {
-				ords[i] = -1
-			}
+	// Resolve pass: every probe row's source ordinal (-1 when absent), and
+	// whether every probe weight is a float.
+	ords := make([]int32, c.Len())
+	floatProbe := true
+	for i, ct := range c.Tuples {
+		if ord, ok := csr.SrcOrd(ct[cc.ID]); ok {
+			ords[i] = ord
+		} else {
+			ords[i] = -1
 		}
-		for i, ct := range c.Tuples[lo:hi] {
+		if ct[cc.W].K != value.KindFloat {
+			floatProbe = false
+		}
+	}
+	offsets, targets := csr.Offsets, csr.Targets
+	tailHead, tailNext, tailTargets := csr.TailHead, csr.TailNext, csr.TailTargets
+	if fw := csr.FloatWeights; floatProbe && fw != nil && sr.Float.Ok() {
+		if sp != nil {
+			sp.Algo = "fused-csr f64"
+		}
+		tfw, times := csr.TailFloatWeights, sr.Float.Times
+		fg := runMorsels(c.Len(), workers, func(int) *floatGroups {
+			return newFloatGroups(sr.Float.Plus, len(csr.Dst.Keys))
+		}, gov, func(fg *floatGroups, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				s := ords[i]
+				if s < 0 {
+					continue
+				}
+				cw := c.Tuples[i][cc.W].F
+				if int(s)+1 < len(offsets) {
+					for e := offsets[s]; e < offsets[s+1]; e++ {
+						fg.fold(targets[e], times.Apply(fw[e], cw))
+					}
+				}
+				if int(s) < len(tailHead) {
+					for e := tailHead[s]; e >= 0; e = tailNext[e] {
+						fg.fold(tailTargets[e], times.Apply(tfw[e], cw))
+					}
+				}
+			}
+		})
+		return fg.relation(csr.Dst.Keys, sch)
+	}
+	if sp != nil {
+		sp.Algo = "fused-csr"
+	}
+	weights, tailWeights := csr.Weights, csr.TailWeights
+	dg := runMorsels(c.Len(), workers, densePartials(sr, len(csr.Dst.Keys)), gov, func(dg *denseGroups, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			s := ords[i]
 			if s < 0 {
 				continue
 			}
-			cw := ct[cc.W]
+			cw := c.Tuples[i][cc.W]
 			if int(s)+1 < len(offsets) {
 				for e := offsets[s]; e < offsets[s+1]; e++ {
 					dg.fold(targets[e], sr.Times(weights[e], cw))
 				}
 			}
-			if int(s) < len(csr.TailHead) {
-				for e := csr.TailHead[s]; e >= 0; e = csr.TailNext[e] {
-					dg.fold(csr.TailTargets[e], sr.Times(csr.TailWeights[e], cw))
+			if int(s) < len(tailHead) {
+				for e := tailHead[s]; e >= 0; e = tailNext[e] {
+					dg.fold(tailTargets[e], sr.Times(tailWeights[e], cw))
 				}
 			}
 		}
@@ -94,7 +142,7 @@ func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, 
 	offsets, rows, weights := csr.Offsets, csr.Rows, csr.Weights
 	var gt *groupTable
 	if csrOnLeft {
-		gt = runMorsels(b.Len(), workers, sr, gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(b.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			ords := gt.scratchOrds(hi - lo)
 			for i, bt := range b.Tuples[lo:hi] {
 				if ord, ok := csr.SrcOrd(bt[bJoin]); ok {
@@ -123,7 +171,7 @@ func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, 
 			}
 		})
 	} else {
-		gt = runMorsels(a.Len(), workers, sr, gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(a.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			ords := gt.scratchOrds(hi - lo)
 			for i, at := range a.Tuples[lo:hi] {
 				if ord, ok := csr.SrcOrd(at[aJoin]); ok {

@@ -209,15 +209,6 @@ type denseGroups struct {
 	started []bool
 	live    []bool
 	order   []int32 // live ordinals in first-touch order
-	scratch []int32 // per-worker ordinal buffer for the CSR resolve pass
-}
-
-// scratchOrds returns the worker's ordinal scratch buffer, sized to n.
-func (d *denseGroups) scratchOrds(n int) []int32 {
-	if cap(d.scratch) < n {
-		d.scratch = make([]int32, n)
-	}
-	return d.scratch[:n]
 }
 
 func newDenseGroups(sr semiring.Semiring, groups int) *denseGroups {
@@ -269,28 +260,81 @@ func (d *denseGroups) relation(keys []value.Value, sch schema.Schema) *relation.
 	return out
 }
 
-// runMorselsDense mirrors runMorsels for the dictionary-encoded fold.
-func runMorselsDense(n, workers, groups int, sr semiring.Semiring, gov *govern.Governor, probe func(dg *denseGroups, lo, hi int)) *denseGroups {
+// floatGroups is denseGroups' unboxed lane: the fold state of an MV-join
+// whose every ⊙-product is a float64 under a semiring with a float form.
+// Such a product is never NULL, so a group starts on its first touch and
+// the first value is assigned rather than ⊕-ed with Zero — the same rule
+// denseGroups.fold applies, with the same first-touch order.
+type floatGroups struct {
+	plus  semiring.Op
+	vals  []float64
+	live  []bool
+	order []int32 // live ordinals in first-touch order
+}
+
+func newFloatGroups(plus semiring.Op, groups int) *floatGroups {
+	return &floatGroups{plus: plus, vals: make([]float64, groups), live: make([]bool, groups)}
+}
+
+// fold adds one ⊙-product under the group ordinal.
+func (f *floatGroups) fold(g int32, v float64) {
+	if !f.live[g] {
+		f.live[g] = true
+		f.vals[g] = v
+		f.order = append(f.order, g)
+		return
+	}
+	f.vals[g] = f.plus.Apply(f.vals[g], v)
+}
+
+// merge folds another partial's live groups into f under ⊕.
+func (f *floatGroups) merge(o *floatGroups) {
+	for _, g := range o.order {
+		f.fold(g, o.vals[g])
+	}
+}
+
+// relation emits the live groups in first-touch order as value.Float cells,
+// exactly the tuples denseGroups.relation emits for the same folds.
+func (f *floatGroups) relation(keys []value.Value, sch schema.Schema) *relation.Relation {
+	out := relation.NewWithCap(sch, len(f.order))
+	cells := make([]value.Value, 2*len(f.order))
+	for i, g := range f.order {
+		t := cells[2*i : 2*i+2 : 2*i+2]
+		t[0], t[1] = keys[g], value.Float(f.vals[g])
+		out.Tuples = append(out.Tuples, t)
+	}
+	return out
+}
+
+// runMorsels drives the morsel-parallel probe: probe-side rows [0, n) are
+// claimed in fixed-size morsels off an atomic cursor; each worker folds
+// into a private partial (newPartial's argument is its capacity hint) and
+// the partials merge in worker order. The governor is consulted once per
+// morsel: the serial path aborts (recovered at the engine boundary),
+// workers drain and the statement goroutine re-raises via MustOK after the
+// join.
+func runMorsels[P interface{ merge(P) }](n, workers int, newPartial func(capHint int) P, gov *govern.Governor, probe func(p P, lo, hi int)) P {
 	if workers <= 1 || n < 2*workers {
-		dg := newDenseGroups(sr, groups)
+		p := newPartial(n)
 		for lo := 0; lo < n; lo += probeMorsel {
 			hi := lo + probeMorsel
 			if hi > n {
 				hi = n
 			}
 			gov.MustStep(hi - lo)
-			probe(dg, lo, hi)
+			probe(p, lo, hi)
 		}
-		return dg
+		return p
 	}
 	var cursor int64
-	partials := make([]*denseGroups, workers)
+	partials := make([]P, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			dg := newDenseGroups(sr, groups)
+			p := newPartial(n / workers)
 			for {
 				lo := int(atomic.AddInt64(&cursor, probeMorsel)) - probeMorsel
 				if lo >= n {
@@ -305,9 +349,9 @@ func runMorselsDense(n, workers, groups int, sr semiring.Semiring, gov *govern.G
 				if gov.Step(hi-lo) != nil {
 					break
 				}
-				probe(dg, lo, hi)
+				probe(p, lo, hi)
 			}
-			partials[w] = dg
+			partials[w] = p
 		}(w)
 	}
 	wg.Wait()
@@ -319,57 +363,15 @@ func runMorselsDense(n, workers, groups int, sr semiring.Semiring, gov *govern.G
 	return acc
 }
 
-// runMorsels drives the morsel-parallel probe: probe-side rows [0, n) are
-// claimed in fixed-size morsels off an atomic cursor; each worker folds
-// into a private group table and the partials merge in worker order. The
-// governor is consulted once per morsel: the serial path aborts (recovered
-// at the engine boundary), workers drain and the statement goroutine
-// re-raises via MustOK after the join.
-func runMorsels(n, workers int, sr semiring.Semiring, gov *govern.Governor, probe func(gt *groupTable, lo, hi int)) *groupTable {
-	if workers <= 1 || n < 2*workers {
-		gt := newGroupTable(sr, n)
-		for lo := 0; lo < n; lo += probeMorsel {
-			hi := lo + probeMorsel
-			if hi > n {
-				hi = n
-			}
-			gov.MustStep(hi - lo)
-			probe(gt, lo, hi)
-		}
-		return gt
-	}
-	var cursor int64
-	partials := make([]*groupTable, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			gt := newGroupTable(sr, n/workers)
-			for {
-				lo := int(atomic.AddInt64(&cursor, probeMorsel)) - probeMorsel
-				if lo >= n {
-					break
-				}
-				hi := lo + probeMorsel
-				if hi > n {
-					hi = n
-				}
-				if gov.Step(hi-lo) != nil {
-					break
-				}
-				probe(gt, lo, hi)
-			}
-			partials[w] = gt
-		}(w)
-	}
-	wg.Wait()
-	gov.MustOK()
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		acc.merge(p)
-	}
-	return acc
+// groupPartials returns runMorsels' constructor for hashed group tables.
+func groupPartials(sr semiring.Semiring) func(int) *groupTable {
+	return func(capHint int) *groupTable { return newGroupTable(sr, capHint) }
+}
+
+// densePartials returns runMorsels' constructor for dictionary-encoded
+// group folds over the given number of groups.
+func densePartials(sr semiring.Semiring, groups int) func(int) *denseGroups {
+	return func(int) *denseGroups { return newDenseGroups(sr, groups) }
 }
 
 // FusedMVJoin computes the MV-join aggregate (Eq. (4)) by probing idx — a
@@ -399,7 +401,7 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 	}
 	if dict != nil && dict.Col == aKeep && len(dict.Ords) == a.Len() {
 		ords := dict.Ords
-		dg := runMorselsDense(c.Len(), workers, len(dict.Keys), sr, gov, func(dg *denseGroups, lo, hi int) {
+		dg := runMorsels(c.Len(), workers, densePartials(sr, len(dict.Keys)), gov, func(dg *denseGroups, lo, hi int) {
 			for _, ct := range c.Tuples[lo:hi] {
 				idx.ProbeEach(ct, probeCols, func(row int) bool {
 					at := a.Tuples[row]
@@ -410,7 +412,7 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 		})
 		return dg.relation(dict.Keys, sch)
 	}
-	gt := runMorsels(c.Len(), workers, sr, gov, func(gt *groupTable, lo, hi int) {
+	gt := runMorsels(c.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 		for _, ct := range c.Tuples[lo:hi] {
 			idx.ProbeEach(ct, probeCols, func(row int) bool {
 				at := a.Tuples[row]
@@ -441,7 +443,7 @@ func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft boo
 	var gt *groupTable
 	if idxOnLeft {
 		probeCols := []int{bJoin}
-		gt = runMorsels(b.Len(), workers, sr, gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(b.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			for _, bt := range b.Tuples[lo:hi] {
 				idx.ProbeEach(bt, probeCols, func(row int) bool {
 					at := a.Tuples[row]
@@ -452,7 +454,7 @@ func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft boo
 		})
 	} else {
 		probeCols := []int{aJoin}
-		gt = runMorsels(a.Len(), workers, sr, gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(a.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			for _, at := range a.Tuples[lo:hi] {
 				idx.ProbeEach(at, probeCols, func(row int) bool {
 					bt := b.Tuples[row]

@@ -258,28 +258,80 @@ func unionByUpdate(r, s *relation.Relation, keyCols []int, impl UBUImpl, gov *go
 	}
 }
 
-// ubuFullOuter: full outer join on the keys, then coalesce(s.*, r.*). With
-// wantDelta it also collects the rows the coalesce actually changed: matched
-// rows whose coalesced values differ from the r side, and unmatched s rows
-// (whose r side is all-NULL padding). A row inserted from s with every column
-// NULL is indistinguishable from its padding and escapes the delta — such a
-// row has a NULL key, which the paper's union-by-update already disallows.
+// ubuFullOuter: full outer join on the keys, then coalesce(s.*, r.*),
+// streamed in one pass. It indexes s, probes it with each r row and
+// coalesces every joined pair straight into an output row, then emits the
+// s rows no r row matched — the rows, and the row order, of FullOuterJoin
+// followed by a coalescing scan, without materializing the joined relation.
+// The governor is charged the same rows as that two-pass form: one step per
+// r and s row plus one per output row.
+//
+// With wantDelta it also collects the rows the coalesce actually changed:
+// matched rows whose coalesced values differ from the r side, and unmatched
+// s rows (whose r side is all-NULL padding). A row inserted from s with
+// every column NULL is indistinguishable from its padding and escapes the
+// delta — such a row has a NULL key, which the paper's union-by-update
+// already disallows.
 func ubuFullOuter(r, s *relation.Relation, keyCols []int, gov *govern.Governor, wantDelta bool) (out, delta *relation.Relation) {
-	joined := FullOuterJoin(r, s, keyCols, keyCols, gov)
 	arity := r.Sch.Arity()
-	out = relation.NewWithCap(r.Sch, joined.Len())
+	idx := relation.BuildHashIndex(s, keyCols)
+	matched := make([]bool, s.Len())
+	rows := r.Len()
+	if s.Len() > rows {
+		rows = s.Len()
+	}
+	out = relation.NewWithCap(r.Sch, rows)
 	if wantDelta {
 		delta = relation.New(r.Sch)
 	}
-	for _, t := range joined.Tuples {
+	// Output rows are carved out of chunks of rows*arity cells; every input
+	// row yields at least one output row, so the first chunk fills.
+	var cells []value.Value
+	pad := make(relation.Tuple, arity)
+	// emit appends coalesce(st, rt) — st or rt is nil for an unmatched row —
+	// and records it in the delta when it differs from the r side (NULL
+	// padding for an unmatched s row).
+	emit := func(rt, st relation.Tuple) {
 		gov.MustStep(1)
-		nt := make(relation.Tuple, arity)
-		for i := 0; i < arity; i++ {
-			nt[i] = value.Coalesce(t[arity+i], t[i])
+		if len(cells) < arity {
+			cells = make([]value.Value, rows*arity)
+		}
+		nt := relation.Tuple(cells[:arity:arity])
+		cells = cells[arity:]
+		for i := range nt {
+			v := value.Null
+			if st != nil && !st[i].IsNull() {
+				v = st[i]
+			} else if rt != nil && !rt[i].IsNull() {
+				v = rt[i]
+			}
+			nt[i] = v
+		}
+		if rt == nil {
+			rt = pad
 		}
 		out.Tuples = append(out.Tuples, nt)
-		if wantDelta && !nt.Equal(t[:arity]) {
+		if wantDelta && !nt.Equal(rt) {
 			delta.Tuples = append(delta.Tuples, nt)
+		}
+	}
+	for _, rt := range r.Tuples {
+		gov.MustStep(1)
+		matchedAny := false
+		idx.ProbeEach(rt, keyCols, func(row int) bool {
+			matchedAny = true
+			matched[row] = true
+			emit(rt, s.Tuples[row])
+			return true
+		})
+		if !matchedAny {
+			emit(rt, nil)
+		}
+	}
+	for i, st := range s.Tuples {
+		gov.MustStep(1)
+		if !matched[i] {
+			emit(nil, st)
 		}
 	}
 	return out, delta

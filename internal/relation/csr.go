@@ -40,6 +40,14 @@ type CSR struct {
 	Rows    []int32
 	Targets []int32
 	Weights []value.Value
+	// FloatWeights is the float64 copy of Weights, filled while every
+	// encoded weight (main block and tail) is KindFloat; it is nil once any
+	// weight is not, and whenever WCol < 0. It is computed at build time and
+	// on Extend, never on read: one CSR is shared by every reader of its
+	// version. TailFloatWeights is its tail counterpart, position for
+	// position with TailWeights, and is meaningful only while FloatWeights
+	// is non-nil.
+	FloatWeights []float64
 
 	// Tail chains hold rows appended after the build, per source ordinal, in
 	// row order (main block rows always precede tail rows, preserving the
@@ -51,6 +59,8 @@ type CSR struct {
 	TailRows    []int32
 	TailTargets []int32
 	TailWeights []value.Value
+	// TailFloatWeights: see FloatWeights.
+	TailFloatWeights []float64
 
 	rel *Relation
 	n   int // rows encoded so far (main + tail)
@@ -84,6 +94,7 @@ func BuildCSR(rel *Relation, srcCol, dstCol, wCol int) *CSR {
 	}
 	if wCol >= 0 {
 		c.Weights = make([]value.Value, n)
+		c.FloatWeights = make([]float64, n)
 	}
 	for row := 0; row < n; row++ {
 		ord := c.Src.Ords[row]
@@ -94,7 +105,13 @@ func BuildCSR(rel *Relation, srcCol, dstCol, wCol int) *CSR {
 			c.Targets[pos] = c.Dst.Ords[row]
 		}
 		if c.Weights != nil {
-			c.Weights[pos] = rel.Tuples[row][wCol]
+			w := rel.Tuples[row][wCol]
+			c.Weights[pos] = w
+			if w.K != value.KindFloat {
+				c.FloatWeights = nil
+			} else if c.FloatWeights != nil {
+				c.FloatWeights[pos] = w.F
+			}
 		}
 	}
 	c.n = n
@@ -149,7 +166,13 @@ func (c *CSR) Extend(rel *Relation) {
 			c.TailTargets = append(c.TailTargets, c.Dst.Ords[row])
 		}
 		if c.Weights != nil {
-			c.TailWeights = append(c.TailWeights, rel.Tuples[row][c.WCol])
+			w := rel.Tuples[row][c.WCol]
+			c.TailWeights = append(c.TailWeights, w)
+			if w.K != value.KindFloat {
+				c.FloatWeights, c.TailFloatWeights = nil, nil
+			} else if c.FloatWeights != nil {
+				c.TailFloatWeights = append(c.TailFloatWeights, w.F)
+			}
 		}
 		if prev, ok := tailTail[ord]; ok {
 			c.TailNext[prev] = e

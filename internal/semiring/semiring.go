@@ -24,7 +24,57 @@ type Semiring struct {
 	Zero value.Value
 	// One is the ⊙-identity.
 	One value.Value
+	// Float is the unboxed form of Plus and Times over float64, declared by
+	// the built-ins whose ⊕ and ⊙ are plain arithmetic or comparisons. The
+	// zero FloatForm declares none (or-and, user-built semirings).
+	Float FloatForm
 }
+
+// Op is one float64 operation of a closed set; Apply evaluates it through a
+// single switch, cheap enough to sit inside a per-edge loop.
+type Op uint8
+
+// The float operations. OpNone is the zero value: no float form.
+const (
+	OpNone Op = iota
+	OpAdd
+	OpMul
+	OpMin
+	OpMax
+)
+
+// Apply returns a op b. For two KindFloat operands it is bit-identical to
+// the boxed function the op stands for: value.Add gives a+b, value.Mul a*b,
+// value.Min b if a > b else a, value.Max b if a < b else a (so a NaN first
+// operand wins a comparison, as it does in value.Compare). The explicit
+// conversions round each arithmetic result, so no fused multiply-add can
+// form across a fold. Apply must not be called with OpNone.
+func (op Op) Apply(a, b float64) float64 {
+	switch op {
+	case OpAdd:
+		return float64(a + b)
+	case OpMul:
+		return float64(a * b)
+	case OpMin:
+		if a > b {
+			return b
+		}
+		return a
+	default: // OpMax
+		if a < b {
+			return b
+		}
+		return a
+	}
+}
+
+// FloatForm pairs the float forms of ⊕ and ⊙.
+type FloatForm struct {
+	Plus, Times Op
+}
+
+// Ok reports whether both operations have a float form.
+func (f FloatForm) Ok() bool { return f.Plus != OpNone && f.Times != OpNone }
 
 func mustAdd(a, b value.Value) value.Value {
 	v, err := value.Add(a, b)
@@ -51,6 +101,7 @@ func PlusTimes() Semiring {
 		Times: mustMul,
 		Zero:  value.Float(0),
 		One:   value.Float(1),
+		Float: FloatForm{Plus: OpAdd, Times: OpMul},
 	}
 }
 
@@ -63,6 +114,7 @@ func MinPlus() Semiring {
 		Times: mustAdd,
 		Zero:  value.Float(math.Inf(1)),
 		One:   value.Float(0),
+		Float: FloatForm{Plus: OpMin, Times: OpAdd},
 	}
 }
 
@@ -75,6 +127,7 @@ func MaxTimes() Semiring {
 		Times: mustMul,
 		Zero:  value.Float(0),
 		One:   value.Float(1),
+		Float: FloatForm{Plus: OpMax, Times: OpMul},
 	}
 }
 
@@ -87,6 +140,7 @@ func MinTimes() Semiring {
 		Times: mustMul,
 		Zero:  value.Float(math.Inf(1)),
 		One:   value.Float(1),
+		Float: FloatForm{Plus: OpMin, Times: OpMul},
 	}
 }
 
@@ -114,6 +168,7 @@ func MaxMin() Semiring {
 		Times: value.Min,
 		Zero:  value.Float(math.Inf(-1)),
 		One:   value.Float(math.Inf(1)),
+		Float: FloatForm{Plus: OpMax, Times: OpMin},
 	}
 }
 

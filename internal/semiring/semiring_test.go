@@ -98,3 +98,50 @@ func TestSpecificValues(t *testing.T) {
 		t.Errorf("or-and ⊕: %v", got)
 	}
 }
+
+// TestFloatFormMatchesBoxed checks every built-in's float form against its
+// boxed Plus and Times bit for bit, over the float edge cases (signed
+// zeros, infinities, NaN, the smallest subnormal, MaxFloat64) and random
+// finite values. or-and declares no float form.
+func TestFloatFormMatchesBoxed(t *testing.T) {
+	ops := []float64{
+		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 40; i++ {
+		ops = append(ops, (rng.Float64()-0.5)*math.Pow(2, float64(rng.Intn(200)-100)))
+	}
+	declared := 0
+	for _, sr := range All() {
+		if !sr.Float.Ok() {
+			if sr.Name != "or-and" {
+				t.Errorf("%s declares no float form", sr.Name)
+			}
+			continue
+		}
+		declared++
+		for _, a := range ops {
+			for _, b := range ops {
+				for _, c := range []struct {
+					name  string
+					boxed func(a, b value.Value) value.Value
+					op    Op
+				}{{"plus", sr.Plus, sr.Float.Plus}, {"times", sr.Times, sr.Float.Times}} {
+					want := c.boxed(value.Float(a), value.Float(b))
+					got := c.op.Apply(a, b)
+					if want.K != value.KindFloat || math.Float64bits(got) != math.Float64bits(want.F) {
+						t.Fatalf("%s %s(%v, %v): float form %v (%#x), boxed %v (%#x)",
+							sr.Name, c.name, a, b, got, math.Float64bits(got), want, math.Float64bits(want.F))
+					}
+				}
+			}
+		}
+	}
+	if declared != len(All())-1 {
+		t.Errorf("%d built-ins declare a float form, want %d", declared, len(All())-1)
+	}
+	if OrAnd().Float != (FloatForm{}) {
+		t.Error("or-and declares a float form")
+	}
+}

@@ -51,6 +51,10 @@ go test ./internal/relation -run 'ColumnDictDense' -count=1
 go test ./internal/sql -run 'WCOJDifferential|WCOJExplainAnalyze|WCOJCountFold|ChooseWCOJ' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzWCOJVsBinary -fuzztime 5s
 
+echo "== fused smoke (float lane vs boxed lane, streamed union-by-update vs reference)"
+go test ./internal/semiring ./internal/ra -run 'FloatFormMatchesBoxed|FusedMVJoinCSRFloatLane|UnionByUpdateMatchesReference' -count=1
+go test ./internal/algos -run 'FloatLaneServesPRAndWCC' -count=1
+
 echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
 
