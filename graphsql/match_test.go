@@ -217,7 +217,9 @@ func TestMatchExplainAnalyze(t *testing.T) {
 // one fixed-length and one variable-length MATCH on the oracle profile:
 // the fixed pattern must read as a plain join tree over the edge table,
 // the variable-length one as the recursive procedure with Δ-frontier
-// scans and the CSR-backed frontier-extension join.
+// scans and the CSR-backed frontier-extension join, and a fixed pattern
+// pinned to one vertex as an index lookup of its first edge under the
+// CSR join.
 func TestMatchExplainAnalyzeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
@@ -228,9 +230,17 @@ func TestMatchExplainAnalyzeGolden(t *testing.T) {
 		{"match_varlen", `select * from graph_table(pg
 			match (a)-[e]->{1,}(b)
 			columns (a.ID F, b.ID T))`},
+		{"match_pinned", `select * from graph_table(pg
+			match (a)-[e1]->(b)-[e2]->(c) where a.ID = 0
+			columns (c.ID cid))`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := matchDB(t, "oracle")
+			// One read of E since loading: the evidence of reuse the
+			// lookup rule asks for before it builds E's CSR.
+			if _, err := db.Query(context.Background(), "select count(*) from E"); err != nil {
+				t.Fatal(err)
+			}
 			report, err := db.ExplainAnalyze(context.Background(), tc.query)
 			if err != nil {
 				t.Fatal(err)

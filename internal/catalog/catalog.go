@@ -571,6 +571,16 @@ func (t *Table) materializeLocked() (*relation.Relation, error) {
 	return out, nil
 }
 
+// Materialized reports whether the table's rows are decoded in its
+// materialization cache — that some reader has read this content since the
+// table was loaded, truncated or rewritten (appends carry the cache
+// forward). A metadata peek: it reads and decodes nothing.
+func (t *Table) Materialized() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cache != nil
+}
+
 // Rows returns the stored tuple count.
 func (t *Table) Rows() int {
 	t.mu.Lock()

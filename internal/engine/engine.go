@@ -549,6 +549,72 @@ func (e *Engine) openBuildSide(v *catalog.View, path AccessPath, keyCols []int, 
 	return csr, idx, hit, err
 }
 
+// ChooseLookup is the access-path rule for a pinned selection col = key on
+// a catalog table: the structure ChooseBuildSide picks for a join on {col}
+// — so a lookup and the joins over the same column share one cached CSR or
+// hash index — when it is affordable to read. It is when the structure is
+// already cached at the current version (a peek, never a build — a sunk
+// cost is free), or when a build will amortize over the statements that
+// follow: the table's statistics are current (loaded or analyzed, and not
+// appended since — the content is stable) and it has been read since it
+// was loaded or rewritten (Materialized — the evidence that statements come
+// back to it). Otherwise it returns FreshBuild: no lookup, the scan is
+// filtered. A table appended to between its statements thus keeps the
+// filtered scan instead of paying a build per statement, and a statement
+// that is the only reader of a freshly loaded table does not pay a build it
+// cannot amortize. Like ChooseBuildSide it reads catalog metadata only.
+func (e *Engine) ChooseLookup(t *catalog.Table, col int) AccessPath {
+	path := e.ChooseBuildSide(t, []int{col}, -1)
+	switch {
+	case path == CachedCSR && t.CSR(col, -1, -1) != nil:
+	case path == CachedHash && t.HashIndex([]int{col}) != nil:
+	case t.Analyzed() && t.Materialized():
+	default:
+		return FreshBuild
+	}
+	return path
+}
+
+// Lookup serves what ChooseLookup chose: the rows of the named table whose
+// column col equals key, read from the statement's one view of the table —
+// rows and structure of the same snapshot, the structure ensured (built,
+// extended or hit) the way OpenBuildSide ensures a build side. The result
+// carries the view's schema and the matching rows, shared with the view, in
+// ascending row order: the bag and order a filtered scan yields. Key
+// equality is value.Equal's, under which NULL matches NULL; callers pass a
+// key that is neither NULL nor NaN, for which it is SQL's =.
+func (e *Engine) Lookup(name string, path AccessPath, col int, key value.Value) (*relation.Relation, error) {
+	v, err := e.viewOf(name)
+	if err != nil {
+		return nil, err
+	}
+	if col >= v.Rel.Sch.Arity() {
+		return nil, fmt.Errorf("engine: lookup on column %d of %s%s", col, name, v.Rel.Sch)
+	}
+	csr, idx, _, err := e.openBuildSide(v, path, []int{col}, -1)
+	if err != nil {
+		return nil, err
+	}
+	rows := v.Rel.Tuples
+	out := relation.New(v.Rel.Sch)
+	switch {
+	case csr != nil:
+		if ord, ok := csr.SrcOrd(key); ok {
+			matches := csr.EdgeRows(ord, nil)
+			out.Tuples = make([]relation.Tuple, len(matches))
+			for i, row := range matches {
+				out.Tuples[i] = rows[row]
+			}
+		}
+	case idx != nil:
+		idx.ProbeEach(relation.Tuple{key}, []int{0}, func(row int) bool {
+			out.Tuples = append(out.Tuples, rows[row])
+			return true
+		})
+	}
+	return out, nil
+}
+
 // ChooseBuildSide applies the build-side rule to a table from its catalog
 // metadata alone — nothing is read, built, or charged — for planners that
 // join over materialized relations rather than catalog tables (the SQL

@@ -276,15 +276,17 @@ func newFloatGroups(plus semiring.Op, groups int) *floatGroups {
 	return &floatGroups{plus: plus, vals: make([]float64, groups), live: make([]bool, groups)}
 }
 
-// fold adds one ⊙-product under the group ordinal.
+// fold adds one ⊙-product under the group ordinal. The fused kernels call
+// it once per edge; it is written to stay within the compiler's inlining
+// budget together with semiring.Op.Apply.
 func (f *floatGroups) fold(g int32, v float64) {
-	if !f.live[g] {
+	if f.live[g] {
+		v = f.plus.Apply(f.vals[g], v)
+	} else {
 		f.live[g] = true
-		f.vals[g] = v
 		f.order = append(f.order, g)
-		return
 	}
-	f.vals[g] = f.plus.Apply(f.vals[g], v)
+	f.vals[g] = v
 }
 
 // merge folds another partial's live groups into f under ⊕.

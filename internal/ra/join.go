@@ -7,6 +7,7 @@ import (
 	"repro/internal/govern"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -68,6 +69,12 @@ type EquiJoinSpec struct {
 	// workers poll and drain cleanly.
 	Gov *govern.Governor
 
+	// Keep, when non-nil, narrows the output to these columns of
+	// r.Sch ++ s.Sch, in this order: the join emits only what its consumer
+	// reads, byte-identical to ProjectCols over the full join but without
+	// materializing the dropped columns. Nil keeps every column.
+	Keep []int
+
 	// Span, when set, receives the join's phase breakdown: BuildDur and
 	// ProbeDur (for hash joins, the build-side index construction vs. the
 	// probe sweep; for merge joins, the sorting vs. the merge), and whether
@@ -78,18 +85,18 @@ type EquiJoinSpec struct {
 }
 
 // EquiJoin computes r ⋈ s on the key columns using the requested algorithm.
-// The output schema is r.Sch ++ s.Sch.
+// The output schema is r.Sch ++ s.Sch, narrowed to spec.Keep when set.
 func EquiJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 	switch spec.Algo {
 	case SortMergeJoin, IndexMergeJoin:
 		return mergeJoin(r, s, spec)
 	case NestedLoopJoin:
-		out := relation.New(r.Sch.Concat(s.Sch))
+		out := relation.New(joinSchema(r, s, spec.Keep))
 		for _, rt := range r.Tuples {
 			spec.Gov.MustStep(1)
 			for _, st := range s.Tuples {
 				if rt.EqualOn(spec.LeftCols, st, spec.RightCols) {
-					out.Tuples = append(out.Tuples, concatTuples(rt, st))
+					out.Tuples = append(out.Tuples, joinTuple(rt, st, spec.Keep))
 				}
 			}
 		}
@@ -104,7 +111,7 @@ func hashJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 		csr.SrcCol == spec.RightCols[0] && csr.Covers(s) {
 		return csrJoin(r, s, csr, spec)
 	}
-	out := relation.New(r.Sch.Concat(s.Sch))
+	out := relation.New(joinSchema(r, s, spec.Keep))
 	// Build on the right side, probe from the left.
 	var t0 time.Time
 	if spec.Span != nil {
@@ -118,7 +125,7 @@ func hashJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 	for _, rt := range r.Tuples {
 		spec.Gov.MustStep(1)
 		idx.ProbeEach(rt, spec.LeftCols, func(row int) bool {
-			out.Tuples = append(out.Tuples, concatTuples(rt, s.Tuples[row]))
+			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], spec.Keep))
 			return true
 		})
 	}
@@ -138,10 +145,11 @@ func hashJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 // The whole frontier is extended in two batched passes: a resolve pass maps
 // every probe key to its source ordinal and sums the exact output
 // cardinality from the offset deltas, then the extend pass copies the
-// matched tuples into a single pre-sized value arena — two allocations for
-// the entire join output instead of one per output tuple.
+// matched tuples (their kept columns) into a single pre-sized value arena —
+// two allocations for the entire join output instead of one per output
+// tuple.
 func csrJoin(r, s *relation.Relation, csr *relation.CSR, spec EquiJoinSpec) *relation.Relation {
-	out := relation.New(r.Sch.Concat(s.Sch))
+	out := relation.New(joinSchema(r, s, spec.Keep))
 	var t0 time.Time
 	if spec.Span != nil {
 		spec.Span.Algo = "csr"
@@ -160,18 +168,16 @@ func csrJoin(r, s *relation.Relation, csr *relation.CSR, spec EquiJoinSpec) *rel
 		ords[i] = ord
 		total += csr.Degree(ord)
 	}
-	arity := r.Sch.Arity() + s.Sch.Arity()
-	arena := make([]value.Value, 0, total*arity)
+	arena := make([]value.Value, 0, total*out.Sch.Arity())
 	out.Tuples = make([]relation.Tuple, 0, total)
 	emit := func(rt, st relation.Tuple) {
-		if cap(arena)-len(arena) < len(rt)+len(st) {
+		if w := joinWidth(rt, st, spec.Keep); cap(arena)-len(arena) < w {
 			// Only reachable when tuple arity exceeds the schema arity the
 			// pre-size assumed; start a fresh chunk rather than regrow.
-			arena = make([]value.Value, 0, (len(rt)+len(st))*(total+1))
+			arena = make([]value.Value, 0, w*(total+1))
 		}
 		at := len(arena)
-		arena = append(arena, rt...)
-		arena = append(arena, st...)
+		arena = appendJoined(arena, rt, st, spec.Keep)
 		out.Tuples = append(out.Tuples, relation.Tuple(arena[at:len(arena):len(arena)]))
 	}
 	for i, rt := range r.Tuples {
@@ -257,7 +263,7 @@ func mergeJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 		spec.Span.BuildDur = time.Since(t0)
 		t0 = time.Now()
 	}
-	out := relation.New(r.Sch.Concat(s.Sch))
+	out := relation.New(joinSchema(r, s, spec.Keep))
 	i, j := 0, 0
 	for i < lIdx.Len() && j < rIdx.Len() {
 		spec.Gov.MustStep(1)
@@ -269,6 +275,10 @@ func mergeJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 			i++
 		case c > 0:
 			j++
+		case !lt.EqualOn(spec.LeftCols, rt, spec.RightCols):
+			// A NaN key: it sorts equal to NaN but, as in the hash join,
+			// matches nothing.
+			i++
 		default:
 			// Expand the equal-key block on the right.
 			jEnd := j
@@ -277,7 +287,7 @@ func mergeJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 			}
 			for ; i < lIdx.Len() && lIdx.Tuple(i).CompareOn(spec.LeftCols, rt, spec.RightCols) == 0; i++ {
 				for k := j; k < jEnd; k++ {
-					out.Tuples = append(out.Tuples, concatTuples(lIdx.Tuple(i), rIdx.Tuple(k)))
+					out.Tuples = append(out.Tuples, joinTuple(lIdx.Tuple(i), rIdx.Tuple(k), spec.Keep))
 				}
 			}
 			j = jEnd
@@ -295,7 +305,7 @@ func ThetaJoin(r, s *relation.Relation, pred Pred) (*relation.Relation, error) {
 	out := relation.New(r.Sch.Concat(s.Sch))
 	for _, rt := range r.Tuples {
 		for _, st := range s.Tuples {
-			t := concatTuples(rt, st)
+			t := joinTuple(rt, st, nil)
 			ok, err := pred(t)
 			if err != nil {
 				return nil, err
@@ -323,11 +333,11 @@ func LeftOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Gove
 		matchedAny := false
 		idx.ProbeEach(rt, lCols, func(row int) bool {
 			matchedAny = true
-			out.Tuples = append(out.Tuples, concatTuples(rt, s.Tuples[row]))
+			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
 			return true
 		})
 		if !matchedAny {
-			out.Tuples = append(out.Tuples, concatTuples(rt, pad))
+			out.Tuples = append(out.Tuples, joinTuple(rt, pad, nil))
 		}
 	}
 	return out
@@ -355,17 +365,17 @@ func FullOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Gove
 		idx.ProbeEach(rt, lCols, func(row int) bool {
 			matchedAny = true
 			matched[row] = true
-			out.Tuples = append(out.Tuples, concatTuples(rt, s.Tuples[row]))
+			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
 			return true
 		})
 		if !matchedAny {
-			out.Tuples = append(out.Tuples, concatTuples(rt, rPad))
+			out.Tuples = append(out.Tuples, joinTuple(rt, rPad, nil))
 		}
 	}
 	for i, st := range s.Tuples {
 		gov.MustStep(1)
 		if !matched[i] {
-			out.Tuples = append(out.Tuples, concatTuples(lPad, st))
+			out.Tuples = append(out.Tuples, joinTuple(lPad, st, nil))
 		}
 	}
 	return out
@@ -384,9 +394,42 @@ func SemiJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Governor)
 	return out
 }
 
-func concatTuples(a, b relation.Tuple) relation.Tuple {
-	t := make(relation.Tuple, 0, len(a)+len(b))
-	t = append(t, a...)
-	t = append(t, b...)
-	return t
+// joinSchema is the output schema of r ⋈ s: r.Sch ++ s.Sch, or only its
+// keep columns.
+func joinSchema(r, s *relation.Relation, keep []int) schema.Schema {
+	sch := r.Sch.Concat(s.Sch)
+	if keep != nil {
+		sch = sch.Project(keep)
+	}
+	return sch
+}
+
+// joinWidth is the width of the tuple appendJoined emits for a and b.
+func joinWidth(a, b relation.Tuple, keep []int) int {
+	if keep != nil {
+		return len(keep)
+	}
+	return len(a) + len(b)
+}
+
+// appendJoined is the one emit step of every join kernel: it appends
+// a ++ b — or, with keep, only those columns of a ++ b, in keep's order —
+// to dst.
+func appendJoined(dst []value.Value, a, b relation.Tuple, keep []int) []value.Value {
+	if keep == nil {
+		return append(append(dst, a...), b...)
+	}
+	for _, c := range keep {
+		if c < len(a) {
+			dst = append(dst, a[c])
+		} else {
+			dst = append(dst, b[c-len(a)])
+		}
+	}
+	return dst
+}
+
+// joinTuple is appendJoined into a fresh tuple.
+func joinTuple(a, b relation.Tuple, keep []int) relation.Tuple {
+	return appendJoined(make(relation.Tuple, 0, joinWidth(a, b, keep)), a, b, keep)
 }

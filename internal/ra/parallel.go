@@ -50,12 +50,7 @@ func EquiJoinParallel(r, s *relation.Relation, spec EquiJoinSpec, workers int) *
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			var out []relation.Tuple
-			emit := func(rt, st relation.Tuple) {
-				nt := make(relation.Tuple, 0, len(rt)+len(st))
-				nt = append(nt, rt...)
-				nt = append(nt, st...)
-				out = append(out, nt)
-			}
+			emit := func(rt, st relation.Tuple) { out = append(out, joinTuple(rt, st, spec.Keep)) }
 			for _, rt := range r.Tuples[lo:hi] {
 				// Workers never panic: on a governor stop (cancel,
 				// deadline, budget) they drain and exit; the statement
@@ -94,7 +89,7 @@ func EquiJoinParallel(r, s *relation.Relation, spec EquiJoinSpec, workers int) *
 	for _, c := range chunks {
 		total += len(c)
 	}
-	out := relation.NewWithCap(r.Sch.Concat(s.Sch), total)
+	out := relation.NewWithCap(joinSchema(r, s, spec.Keep), total)
 	for _, c := range chunks {
 		out.Tuples = append(out.Tuples, c...)
 	}

@@ -509,15 +509,9 @@ func cmpInt(a, b int64) int {
 	return 0
 }
 
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
+// cmpFloat is the vector kernels' float comparison: value.CompareFloat's
+// order, the one the row path's Value.Compare uses.
+func cmpFloat(a, b float64) int { return value.CompareFloat(a, b) }
 
 // denseFloats adapts a dense column to float reads for mixed int/float
 // comparisons.

@@ -45,8 +45,9 @@ const (
 
 // Apply returns a op b. For two KindFloat operands it is bit-identical to
 // the boxed function the op stands for: value.Add gives a+b, value.Mul a*b,
-// value.Min b if a > b else a, value.Max b if a < b else a (so a NaN first
-// operand wins a comparison, as it does in value.Compare). The explicit
+// value.Min b if a sorts above b else a, value.Max b if a sorts below b else
+// a, under value.CompareFloat's order (NaN above every number, so min
+// drops a NaN operand and max keeps it). The explicit
 // conversions round each arithmetic result, so no fused multiply-add can
 // form across a fold. Apply must not be called with OpNone.
 func (op Op) Apply(a, b float64) float64 {
@@ -55,13 +56,13 @@ func (op Op) Apply(a, b float64) float64 {
 		return float64(a + b)
 	case OpMul:
 		return float64(a * b)
-	case OpMin:
-		if a > b {
+	case OpMin: // b when a sorts above b: a > b, or a is NaN and b is not
+		if !(a <= b) && b == b {
 			return b
 		}
 		return a
-	default: // OpMax
-		if a < b {
+	default: // OpMax: b when a sorts below b: a < b, or b is NaN and a is not
+		if !(a >= b) && a == a {
 			return b
 		}
 		return a

@@ -98,7 +98,12 @@ func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *
 	case opScan:
 		rel := n.over
 		if n.tab != nil {
-			if rel, err = x.Eng.Rel(n.ref.Name); err != nil {
+			if l := n.lookup; l != nil {
+				rel, err = x.Eng.Lookup(n.ref.Name, l.path, l.col, l.key)
+			} else {
+				rel, err = x.Eng.Rel(n.ref.Name)
+			}
+			if err != nil {
 				return nil, "", err
 			}
 			if !rel.Sch.Equal(n.sch) {
@@ -126,6 +131,9 @@ func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *
 	case opAggregate:
 		return x.aggregate(n, ins[0])
 	case opProject:
+		if n.passthrough {
+			return &relation.Relation{Sch: n.sch, Tuples: ins[0].Tuples}, "", nil
+		}
 		out, err = x.project(n, ins[0])
 		return out, "", err
 	case opDistinct:
@@ -167,7 +175,7 @@ func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *
 // rebuild.
 func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) *relation.Relation {
 	j := n.join
-	spec := ra.EquiJoinSpec{LeftCols: j.lCols, RightCols: j.rCols, Algo: j.algo, Gov: x.Eng.Gov()}
+	spec := ra.EquiJoinSpec{LeftCols: j.lCols, RightCols: j.rCols, Algo: j.algo, Keep: j.keep, Gov: x.Eng.Gov()}
 	if x.Eng.Observing() {
 		spec.Span = &obs.Span{Op: "join", Algo: j.algo.String(), Note: "sql equi-join", Start: t0}
 	}

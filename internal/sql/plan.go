@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/catalog"
@@ -15,16 +16,20 @@ import (
 // This file is the planner: plan() turns a SELECT into the one plan tree
 // that execute() runs and that EXPLAIN and EXPLAIN ANALYZE both render.
 // Planning reads schemas and statistics only — catalog metadata, Override
-// relations, cached-CSR peeks. It runs no subquery, builds no index and
-// charges no counter; statement-shape errors surface here, before any work.
-// Join order is FROM order and every non-key conjunct is a residual filter.
+// relations, cached-structure peeks. It runs no subquery, builds no index
+// and charges no counter; statement-shape errors surface here, before any
+// work. Join order is FROM order. Two rewrites run before the join chain
+// and over it: a conjunct "column = literal" on a plain catalog table
+// becomes an index lookup at the scan (planLookups), and every equi-join of
+// the chain emits only the columns the rest of its block reads
+// (pruneChain). Every other non-key conjunct is a residual filter.
 
 // planOp enumerates the node kinds.
 type planOp uint8
 
 const (
 	opValues    planOp = iota // no FROM clause: one empty tuple
-	opScan                    // catalog table or Override relation
+	opScan                    // catalog table or Override relation; an index lookup when lookup is set
 	opSubquery                // FROM (select ...) alias; input: the subquery's plan
 	opOuterJoin               // explicit LEFT / FULL OUTER JOIN ... ON
 	opEquiJoin                // binary equi-join step
@@ -56,6 +61,11 @@ type planNode struct {
 	over     *relation.Relation
 	analyzed bool
 	delta    bool
+	lookup   *lookupPlan
+
+	// A project whose select list is exactly its input's columns, in
+	// order, over a join's rows passes them through under its own header.
+	passthrough bool
 
 	// Filter, project and aggregate run the vector kernels (vec) or the row
 	// closures; whether a vectorized node fell back to rows for a subtree,
@@ -73,7 +83,8 @@ type planNode struct {
 // conjuncts they came from. An equi-join records the profile's algorithm
 // and, for a hash join over a catalog table, the build-side access path;
 // the multiway join its core and variable order. restore, on the topmost
-// join above a multiway core, permutes the columns back to FROM order.
+// join above a multiway core, permutes the columns back to FROM order; keep,
+// on a pruned equi-join, lists the columns of l ++ r it emits.
 type joinPlan struct {
 	lCols, rCols []int
 	keys         []Expr
@@ -81,6 +92,17 @@ type joinPlan struct {
 	path         engine.AccessPath
 	wcoj         *wcojPlan
 	restore      []int
+	keep         []int
+}
+
+// lookupPlan is a scan's pinned selection served by an index lookup: the
+// conjunct it claimed, the column and literal that conjunct binds, and the
+// structure ChooseLookup picked.
+type lookupPlan struct {
+	pred Expr
+	col  int
+	key  value.Value
+	path engine.AccessPath
 }
 
 // aggPlan is the aggregate node's static half: where the group keys sit in
@@ -182,6 +204,7 @@ func (x *Exec) planFrom(s *SelectStmt) (*planNode, error) {
 		conjuncts = splitAnd(s.Where)
 	}
 	used := make([]bool, len(conjuncts))
+	x.planLookups(srcs, conjuncts, used)
 	cur := srcs[0]
 	tails := srcs[1:]
 	var order []int // join order as source indexes, when a core reorders it
@@ -199,7 +222,7 @@ func (x *Exec) planFrom(s *SelectStmt) (*planNode, error) {
 				cur.sch = cur.sch.Concat(srcs[si].sch)
 				// A table-backed binary atom reads the cached (src, dst) CSR
 				// as its sorted backing instead of building a trie.
-				if sc, dc, ok := wp.Atoms[k].csrShape(); ok && srcs[si].tab != nil {
+				if sc, dc, ok := wp.Atoms[k].csrShape(); ok && srcs[si].fullTable() != nil {
 					wp.Atoms[k].CSR = x.Eng.ChooseBuildSide(srcs[si].tab, []int{sc}, dc) == engine.CachedCSR
 				}
 			}
@@ -217,9 +240,11 @@ func (x *Exec) planFrom(s *SelectStmt) (*planNode, error) {
 			}
 		}
 	}
+	chain := make([]*planNode, 0, len(tails))
 	for _, next := range tails {
 		lCols, rCols, keys := joinKeys(conjuncts, used, cur.sch, next.sch)
 		cur = x.joinNode(cur, next, lCols, rCols, keys, allAnalyzed)
+		chain = append(chain, cur)
 	}
 	// The multiway lowering joins core sources first, so when a tail source
 	// precedes a core source in FROM order the concatenated columns are
@@ -227,8 +252,189 @@ func (x *Exec) planFrom(s *SelectStmt) (*planNode, error) {
 	// "select *" output stays byte-identical across the two paths.
 	if perm := fromOrderPerm(srcs, order); perm != nil {
 		cur.join.restore, cur.sch = perm, cur.sch.Project(perm)
+	} else if need, ok := blockReads(s, conjuncts, used, cur.sch); ok {
+		pruneChain(chain, need)
 	}
 	return x.filterUnused(conjuncts, used, cur), nil
+}
+
+// planLookups claims, per FROM source, at most one unused conjunct
+// "column = literal" (either orientation) as an index lookup at the scan,
+// served before any join. The column must resolve in exactly one source,
+// that source must be a plain catalog scan (not an Override or Δ relation,
+// a subquery or a member of an explicit join), the literal must be neither
+// NULL nor NaN — the lookup matches by value.Equal, under which NULL equals
+// NULL and NaN equals nothing, while for every other literal it is SQL's =
+// — and the engine's lookup rule must find the structure affordable. Every
+// other conjunct stays where it was.
+func (x *Exec) planLookups(srcs []*planNode, conjuncts []Expr, used []bool) {
+	for ci, c := range conjuncts {
+		b, ok := c.(*Binary)
+		if used[ci] || !ok || b.Op != "=" {
+			continue
+		}
+		cr, lok := b.L.(*ColRef)
+		lit, rok := b.R.(*Lit)
+		if !lok || !rok {
+			cr, lok = b.R.(*ColRef)
+			lit, rok = b.L.(*Lit)
+		}
+		if !lok || !rok || lit.Val.IsNull() || lit.Val.K == value.KindFloat && math.IsNaN(lit.Val.F) {
+			continue
+		}
+		src, col := -1, -1
+		for i, n := range srcs {
+			if idx, err := n.sch.Resolve(cr.Table, cr.Name); err == nil {
+				if src >= 0 {
+					src = -1
+					break
+				}
+				src, col = i, idx
+			}
+		}
+		if src < 0 || srcs[src].fullTable() == nil {
+			continue
+		}
+		if path := x.Eng.ChooseLookup(srcs[src].tab, col); path != engine.FreshBuild {
+			srcs[src].lookup = &lookupPlan{pred: c, col: col, key: lit.Val, path: path}
+			used[ci] = true
+		}
+	}
+}
+
+// fullTable is the catalog table a node reads whole — a scan without a
+// lookup — or nil. Only such a node can hand a join or a multiway atom the
+// table's cached structures: they index every row of the table.
+func (n *planNode) fullTable() *catalog.Table {
+	if n.op != opScan || n.lookup != nil {
+		return nil
+	}
+	return n.tab
+}
+
+// blockReads marks the columns of the join chain's wide schema that the
+// rest of the block reads: the select list, the residual conjuncts (those
+// no join or lookup claimed), GROUP BY, the aggregate arguments inside the
+// select list and HAVING, HAVING itself and ORDER BY. Every reference is
+// resolved against the wide schema; ok is false — nothing is pruned and
+// every error surfaces where it always did — when one does not resolve,
+// when the block selects *, or when it has a subquery (what an IN or EXISTS
+// subquery reads is not told statically). ORDER BY resolves against the
+// select list, so an ORDER BY name the wide schema lacks (an alias) is
+// skipped rather than refused.
+func blockReads(s *SelectStmt, conjuncts []Expr, used []bool, wide schema.Schema) (need []bool, ok bool) {
+	exprs := append([]Expr{s.Having}, s.GroupBy...)
+	for _, it := range s.Items {
+		if it.Star {
+			return nil, false
+		}
+		exprs = append(exprs, it.Expr)
+	}
+	for ci, c := range conjuncts {
+		if !used[ci] {
+			exprs = append(exprs, c)
+		}
+	}
+	var refs []*ColRef
+	for _, e := range exprs {
+		if refs, ok = colRefs(e, refs); !ok {
+			return nil, false
+		}
+	}
+	need = make([]bool, wide.Arity())
+	for _, cr := range refs {
+		idx, err := wide.Resolve(cr.Table, cr.Name)
+		if err != nil {
+			return nil, false
+		}
+		need[idx] = true
+	}
+	for _, o := range s.OrderBy {
+		if cr, isCol := o.Expr.(*ColRef); isCol {
+			if idx, err := wide.Resolve(cr.Table, cr.Name); err == nil {
+				need[idx] = true
+			}
+		}
+	}
+	return need, true
+}
+
+// colRefs appends the column references of e to refs; ok is false when e
+// holds a subquery (or an expression kind this walk does not know).
+func colRefs(e Expr, refs []*ColRef) (_ []*ColRef, ok bool) {
+	ok = true
+	Walk(e, func(n Expr) {
+		switch x := n.(type) {
+		case *ColRef:
+			refs = append(refs, x)
+		case *InExpr:
+			ok = ok && x.Sub == nil
+		case *Lit, *Unary, *Binary, *FuncCall, *IsNullExpr:
+		default:
+			ok = false
+		}
+	})
+	return refs, ok
+}
+
+// pruneChain narrows each equi-join of a join chain (its steps bottom-up;
+// the chain's base is chain[0]'s left input) to the columns read above it:
+// need — the block's reads, as positions of the chain's wide schema, which
+// is the base's columns followed by each step's right source — plus the
+// left keys of every later step. Keys and join decisions were taken over
+// the unpruned schemas; each step's left keys are remapped onto its pruned
+// input and its planned schema narrows with its output. A product emits
+// every column of its (possibly narrowed) inputs.
+func pruneChain(chain []*planNode, need []bool) {
+	if len(chain) == 0 {
+		return
+	}
+	// Top-down: what each step's output must carry. A step's left keys are
+	// positions of its unpruned left input, a prefix of the wide schema.
+	wants := make([][]bool, len(chain))
+	for k := len(chain) - 1; k >= 0; k-- {
+		wants[k] = append([]bool(nil), need...)
+		for _, c := range chain[k].join.lCols {
+			need[c] = true
+		}
+	}
+	// Bottom-up: cols are the wide positions of the current left input.
+	cols := make([]int, chain[0].kids[0].sch.Arity())
+	for i := range cols {
+		cols[i] = i
+	}
+	at := make([]int, len(need)) // wide position -> column of the left input
+	right := len(cols)           // wide position of the step's right source
+	for k, n := range chain {
+		for i, c := range cols {
+			at[c] = i
+		}
+		for i, c := range n.join.lCols {
+			n.join.lCols[i] = at[c]
+		}
+		full := cols
+		for c := 0; c < n.kids[1].sch.Arity(); c++ {
+			full = append(full, right+c)
+		}
+		right += n.kids[1].sch.Arity()
+		n.sch = n.kids[0].sch.Concat(n.kids[1].sch)
+		cols = full
+		if n.op != opEquiJoin {
+			continue
+		}
+		var keep, kept []int
+		for i, c := range full {
+			if wants[k][c] {
+				keep, kept = append(keep, i), append(kept, c)
+			}
+		}
+		if len(keep) < len(full) {
+			if keep == nil {
+				keep = []int{}
+			}
+			n.join.keep, n.sch, cols = keep, n.sch.Project(keep), kept
+		}
+	}
 }
 
 // planRef plans one FROM item.
@@ -333,8 +539,8 @@ func (x *Exec) joinNode(l, r *planNode, lCols, rCols []int, keys []Expr, allAnal
 		return n
 	}
 	n.op, j.algo = opEquiJoin, x.Eng.Prof.JoinAlgo(allAnalyzed)
-	if j.algo == ra.HashJoin && r.tab != nil {
-		j.path = x.Eng.ChooseBuildSide(r.tab, rCols, -1)
+	if t := r.fullTable(); j.algo == ra.HashJoin && t != nil {
+		j.path = x.Eng.ChooseBuildSide(t, rCols, -1)
 	}
 	return n
 }
@@ -355,16 +561,41 @@ func (x *Exec) filterUnused(conjuncts []Expr, used []bool, in *planNode) *planNo
 }
 
 // projectNode plans the select list over in; "*" expands to in's columns.
+// A list that is exactly in's columns, in order, over a binary join's rows
+// passes them through — the join already emitted only what the list reads.
+// A table's rows are always copied, so a caller never holds (and can never
+// change) the rows of a table's cache.
 func (x *Exec) projectNode(items []SelectItem, in *planNode) *planNode {
 	n := &planNode{op: opProject, items: items, vec: x.vectorized(), kids: []*planNode{in}}
+	identity := true
 	for i, it := range items {
 		if it.Star {
+			identity = identity && len(n.sch) == 0
 			n.sch = append(n.sch, in.sch...)
 			continue
 		}
+		cr, ok := it.Expr.(*ColRef)
+		if ok {
+			idx, err := in.sch.Resolve(cr.Table, cr.Name)
+			ok = err == nil && idx == len(n.sch)
+		}
+		identity = identity && ok
 		n.sch = append(n.sch, outColName(it, i, in.sch))
 	}
+	n.passthrough = identity && len(n.sch) == in.sch.Arity() && in.joinRows()
 	return n
+}
+
+// joinRows reports whether n's output rows are a binary join's, possibly
+// filtered: rows the statement built, not a table's.
+func (n *planNode) joinRows() bool {
+	switch n.op {
+	case opFilter:
+		return n.kids[0].joinRows()
+	case opEquiJoin, opProduct:
+		return true
+	}
+	return false
 }
 
 func outColName(it SelectItem, i int, sch schema.Schema) schema.Column {
@@ -547,6 +778,14 @@ func (n *planNode) label(est bool) string {
 	case opValues:
 		return "values (one row)"
 	case opScan:
+		name := "scan " + n.ref.DisplayName()
+		if l := n.lookup; l != nil {
+			via := "csr"
+			if l.path == engine.CachedHash {
+				via = "hash index"
+			}
+			name = fmt.Sprintf("index lookup %s on %s via %s", n.ref.DisplayName(), ExprString(l.pred), via)
+		}
 		kind, stats := "working table", "no statistics"
 		switch {
 		case n.delta:
@@ -560,7 +799,7 @@ func (n *planNode) label(est bool) string {
 			stats = "analyzed"
 		}
 		if !est {
-			return fmt.Sprintf("scan %s (%s, %s)", n.ref.DisplayName(), kind, stats)
+			return fmt.Sprintf("%s (%s, %s)", name, kind, stats)
 		}
 		rows := 0
 		if n.tab != nil {
@@ -568,7 +807,7 @@ func (n *planNode) label(est bool) string {
 		} else {
 			rows = n.over.Len()
 		}
-		return fmt.Sprintf("scan %s (%s, %d rows, %s)", n.ref.DisplayName(), kind, rows, stats)
+		return fmt.Sprintf("%s (%s, %d rows, %s)", name, kind, rows, stats)
 	case opSubquery:
 		return "subquery " + n.ref.DisplayName() + ":"
 	case opOuterJoin:

@@ -28,14 +28,23 @@ var planCases = []struct {
 	{"distinct_order_limit", "select distinct T from E where F < 15 order by T desc limit 3"},
 	{"compound", "(select F from E) union (select T from E) except (select ID from V where ID < 3)"},
 	{"delta_frontier_override", "select TC.F, E.T from TC, E where TC.T = E.F"},
+	{"pinned_scan", "select T from E where F = 3"},
+	{"pinned_chain_pruned", "select b.T from E a, E b where a.F = 3 and a.T = b.F"},
+	{"pinned_literal_first_with_residual", "select a.T from E a, V c where 3 = a.F and a.T = c.ID and a.T < 20"},
+	{"pruned_chain_under_group_by", "select c.ID, count(*) n from E a, E b, V c where a.T = b.F and b.T = c.ID group by c.ID having count(*) > 1 order by c.ID"},
+	{"pruned_to_no_columns", "select count(*) from E a, E b where a.T = b.F and b.T = 4"},
+	{"pinned_delta_frontier_stays_filtered", "select TC.F, E.T from TC, E where TC.T = E.F and TC.F = 0"},
 }
 
 var planProfiles = []engine.Profile{engine.OracleLike(), engine.DB2Like(), engine.PostgresLike(true)}
 
 // planExec returns an executor over the random graph with the state of a
-// WITH+ recursive section mid-loop: TC bound to a Δ-frontier override.
+// WITH+ recursive section mid-loop: TC bound to a Δ-frontier override. Its
+// base tables have been read since loading, so pinned conjuncts on them
+// plan as index lookups (engine.ChooseLookup).
 func planExec(t *testing.T, e *engine.Engine) *Exec {
 	t.Helper()
+	warm(t, e, "E", "V", "D")
 	x := NewExec(e)
 	tc := relation.New(schema.Cols(value.KindInt, "F", "T"))
 	tc.AppendVals(value.Int(0), value.Int(1))
@@ -172,13 +181,15 @@ func TestPlanningExecutesNothing(t *testing.T) {
 // and a table it has read keeps its pin.
 func TestPlanningPinsNoSnapshot(t *testing.T) {
 	root := graphDB(t, engine.OracleLike(), 30, 120, 7)
+	warm(t, root, "E")
 	sess := root.NewSession("s1")
 	defer sess.CloseSession()
 	x := NewExec(sess)
 	end := sess.BeginStatement(context.Background())
 	defer end()
 	pinned := mustRun(t, x, "select count(*) from V").At(0)[0].AsInt()
-	for _, q := range []string{"select count(*) from E", "select count(*) from V", "select E.F from E, V where E.T = V.ID"} {
+	for _, q := range []string{"select count(*) from E", "select count(*) from V", "select E.F from E, V where E.T = V.ID",
+		"select T from E where F = 1", "select b.T from E a, E b where a.F = 1 and a.T = b.F"} {
 		if _, err := x.ExplainSelect(mustParse(t, q)); err != nil {
 			t.Fatal(err)
 		}

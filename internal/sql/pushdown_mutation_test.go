@@ -1,0 +1,72 @@
+package sql
+
+import (
+	"fmt"
+
+	"repro/internal/relation"
+	"repro/internal/value"
+)
+
+// The planner mutations the bounded-exhaustive pushdown check must catch
+// (pushdown_exhaustive_test.go). Each plans a statement with the real
+// planner, then breaks one decision the way a faulty rewrite would.
+const (
+	// MutateNullLookup: the lookup rule accepts a NULL literal. The
+	// statement is planned with a non-NULL literal so the lookup is claimed;
+	// its key is then replaced by NULL — the plan a rule without the NULL
+	// guard builds for "column = NULL".
+	MutateNullLookup = "lookup accepts a NULL literal"
+	// MutateDropLaterKey: column pruning forgets a later join's key. The
+	// bottom join of the chain stops emitting the column the next join reads
+	// as its left key; the next join keeps reading the same position, which
+	// now holds another column (or none: an error).
+	MutateDropLaterKey = "pruning drops a later join's key column"
+)
+
+// RunMutated runs s under one of the mutations above. A run the mutation
+// crashes reports the crash as its error.
+func RunMutated(x *Exec, s *SelectStmt, mutation string) (out *relation.Relation, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("mutated plan crashed: %v", r)
+		}
+	}()
+	p, err := x.plan(s)
+	if err != nil {
+		return nil, err
+	}
+	if !mutate(p, mutation) {
+		return nil, fmt.Errorf("mutation %q found nothing to break", mutation)
+	}
+	out, _, err = x.execute(p, false)
+	return out, err
+}
+
+func mutate(n *planNode, mutation string) bool {
+	switch {
+	case mutation == MutateNullLookup && n.lookup != nil:
+		n.lookup.key = value.Null
+		return true
+	case mutation == MutateDropLaterKey && n.op == opEquiJoin && n.kids[0].op == opEquiJoin:
+		low := n.kids[0]
+		key := n.join.lCols[0]
+		if low.join.keep == nil {
+			return false
+		}
+		var keep []int
+		for i, c := range low.join.keep {
+			if i != key {
+				keep = append(keep, c)
+			}
+		}
+		low.join.keep = keep
+		low.sch = low.kids[0].sch.Concat(low.kids[1].sch).Project(keep)
+		return true
+	}
+	for _, k := range n.kids {
+		if mutate(k, mutation) {
+			return true
+		}
+	}
+	return false
+}

@@ -171,8 +171,9 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare orders two values: -1 if v<o, 0 if equal, +1 if v>o.
-// NULL sorts before everything; mixed numeric kinds compare as floats;
-// otherwise values are ordered by kind then content.
+// NULL sorts before everything; mixed numeric kinds compare as floats
+// (CompareFloat: NaN equals NaN and sorts above every number); otherwise
+// values are ordered by kind then content.
 func (v Value) Compare(o Value) int {
 	if v.K == KindNull || o.K == KindNull {
 		switch {
@@ -194,14 +195,7 @@ func (v Value) Compare(o Value) int {
 			}
 			return 0
 		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return CompareFloat(v.AsFloat(), o.AsFloat())
 	}
 	if v.K != o.K {
 		if v.K < o.K {
@@ -230,6 +224,30 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
+// CompareFloat is the total order of float64 that comparisons and sorts
+// use, PostgreSQL's: NaN equals NaN and sorts above every number, +Inf
+// included. For any b that is not NaN, CompareFloat(a, b) == 0 exactly when
+// a == b — the equality Equal and the hash join use, which keep NaN unequal
+// to everything, NaN included.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	// At least one side is NaN.
+	switch {
+	case a == a: // only b
+		return -1
+	case b == b: // only a
+		return 1
+	}
+	return 0
+}
+
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -252,7 +270,11 @@ func (v Value) Hash() uint64 {
 	case KindInt:
 		mix(math.Float64bits(float64(v.I)))
 	case KindFloat:
-		mix(math.Float64bits(v.F))
+		f := v.F
+		if f == 0 {
+			f = 0 // -0 equals +0 (Equal), so it hashes as +0
+		}
+		mix(math.Float64bits(f))
 	case KindBool:
 		mix(uint64(v.I) + 3)
 	case KindString:

@@ -132,6 +132,8 @@ func TestCompare(t *testing.T) {
 func TestHashConsistentWithEqual(t *testing.T) {
 	pairs := [][2]Value{
 		{Int(7), Float(7.0)},
+		{Float(math.Copysign(0, -1)), Float(0)},
+		{Float(math.Copysign(0, -1)), Int(0)},
 		{Null, Null},
 		{Str("abc"), Str("abc")},
 		{Bool(true), Bool(true)},

@@ -4,6 +4,7 @@
 #   module included, plus short runs of the benchmark's point, ingest and
 #   analytics workloads), a race-detector pass over the packages with
 #   parallel or concurrently-observed executor paths (ra, engine, graphsql),
+#   one smoke step per optimization (its differentials at a larger bound),
 #   and the chaos and bench gates.
 set -eu
 cd "$(dirname "$0")/.."
@@ -44,6 +45,15 @@ go test ./internal/sql -run 'VecRowStatementParity' -count=1
 go test ./internal/algos -run 'VectorVsRow' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzVectorVsRow -fuzztime 5s
 go test ./internal/ra -run=NONE -bench 'BenchmarkSelectVectorized|BenchmarkGroupByVectorized' -benchtime 1x
+
+echo "== pushdown smoke (lookup + pruning vs brute force, then the served oracles)"
+# Every database of up to three rows per table (the go test default is two),
+# plus the two planted planner mutations it must catch.
+go test ./internal/sql -run 'PushdownExhaustive' -count=1 -args -pushdown.rows=3
+# point's lookups and traverse's pinned seeds and 2-hops take both rewrites;
+# their oracles check every answer and run.sh exits 1 on a wrong one.
+bash benchmark/run.sh -workload point -seconds 6 > /dev/null
+bash benchmark/run.sh -workload traverse -seconds 6 > /dev/null
 
 echo "== wcoj smoke (multiway vs binary differentials + chooser + operator)"
 go test ./internal/ra -run 'WCOJ' -count=1
