@@ -233,6 +233,11 @@ func TestMatchExplainAnalyzeGolden(t *testing.T) {
 		{"match_pinned", `select * from graph_table(pg
 			match (a)-[e1]->(b)-[e2]->(c) where a.ID = 0
 			columns (c.ID cid))`},
+		// The Bellman-Ford step folds its join and min-plus group-by into
+		// one agg-join over E's weighted CSR.
+		{"match_shortest", `select * from graph_table(pg
+			match any shortest (a)-[e]->(b) where a.ID = 0
+			columns (b.ID ID, path_cost() dist))`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := matchDB(t, "oracle")

@@ -762,53 +762,22 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 		return nil, err
 	}
 	ar, cr := av.Rel, cv.Rel
-	e.Cnt.add(&e.Cnt.Joins, 1)
-	e.Cnt.add(&e.Cnt.GroupBys, 1)
 	var sp *obs.Span
 	if e.sink != nil {
 		sp = &obs.Span{Op: "mv-join", Note: av.Name + " ⋈ " + cv.Name, Start: time.Now()}
 	}
 	sch := schema.Schema{{Name: "ID", Type: ar.Sch[aKeep].Type}, {Name: "vw"}}
 	if e.fusible(av, cv) {
-		var out *relation.Relation
-		var hit bool
-		if e.csrUsable(av.Temp, av.Analyzed, av, aJoin, aKeep, ac.W) {
-			// CSR access path: one structure carries the adjacency, the
-			// group dictionary (Dst), and the weight column.
-			var csr *relation.CSR
-			csr, hit, err = e.ensureCSR(av, aJoin, aKeep, ac.W)
-			if err != nil {
-				return nil, err
-			}
-			// The kernel names its lane ("fused-csr" or "fused-csr f64").
-			out = ra.FusedMVJoinCSR(ar, cr, csr, cc, sr, e.Parallelism, e.gov, sp)
-		} else {
-			var idx *relation.HashIndex
-			idx, hit, err = e.ensureHashIndex(av, []int{aJoin})
-			if err != nil {
-				return nil, err
-			}
-			// The group-column dictionary rides the same per-version cache as
-			// the index; it is an executor memo, not a user-visible index, so it
-			// is not charged to the IndexBuilds counter.
-			dict, _, err := av.EnsureColumnDict(aKeep)
-			if err != nil {
-				return nil, err
-			}
-			out = ra.FusedMVJoin(ar, cr, idx, dict, ac, cc, aKeep, sr, e.Parallelism, e.gov, sp)
-			if sp != nil {
-				sp.Algo = "fused-hash"
-			}
+		path := e.mvSide(av.Temp, av.Analyzed, av, aJoin, aKeep, ac.W)
+		out, _, err := e.mvFold(av, path, cr, ac, cc, aJoin, aKeep, sr, e.Parallelism, false, sp)
+		if err != nil {
+			return nil, err
 		}
 		out.Sch = sch
-		if sp != nil {
-			sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
-			sp.LeftRows, sp.RightRows, sp.OutRows = int64(ar.Len()), int64(cr.Len()), int64(out.Len())
-			sp.Dur = time.Since(sp.Start)
-			e.Emit(*sp)
-		}
 		return out, nil
 	}
+	e.Cnt.add(&e.Cnt.Joins, 1)
+	e.Cnt.add(&e.Cnt.GroupBys, 1)
 	spec, err := e.joinSpec(av, cv, []int{aJoin}, []int{cc.ID}, sp)
 	if err != nil {
 		return nil, err
@@ -823,6 +792,119 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 		e.Emit(*sp)
 	}
 	return out, nil
+}
+
+// mvSide is the build-side rule of the fused MV-join, for MVJoin and the SQL
+// planner's agg-join alike: the CSR over (aJoin, aKeep, w) when affordable
+// (csrUsable), else the cached hash index on {aJoin} with aKeep's column
+// dictionary.
+func (e *Engine) mvSide(temp, analyzed bool, t csrPeeker, aJoin, aKeep, w int) AccessPath {
+	if e.csrUsable(temp, analyzed, t, aJoin, aKeep, w) {
+		return CachedCSR
+	}
+	return CachedHash
+}
+
+// ChooseAggJoinSide applies mvSide to a catalog table from its metadata
+// alone, like ChooseBuildSide: the access path an agg-join over the table
+// reads, joining on aJoin, grouping on aKeep and folding weight column w.
+func (e *Engine) ChooseAggJoinSide(t *catalog.Table, aJoin, aKeep, w int) AccessPath {
+	return e.mvSide(t.Temp, t.Analyzed(), t, aJoin, aKeep, w)
+}
+
+// mvFold is the fused MV-join dispatch MVJoin and AggJoin share. It opens
+// matrix view av on path — the CSR over (aJoin, aKeep, ac.W), which carries
+// the adjacency, the group dictionary (Dst) and the weights; or the hash
+// index on {aJoin} with aKeep's column dictionary — and folds vector c into
+// groups on aKeep with the matching kernel (the CSR kernel names its lane in
+// sp.Algo, "fused-csr" or "fused-csr f64"). It counts one join and one
+// group-by and emits sp when set.
+//
+// With exact, it folds only where the fold equals SQL's join followed by
+// its group-by bit for bit, and otherwise returns ok false having run and
+// counted nothing beyond opening the structure: every ⊙ operand — c's W
+// column and av's weight column — is a float, so no product is NULL and
+// each is the float the SQL expression computes; and no group key is a
+// float (ColumnDict.FloatKeys), so the dictionary groups and spells keys as
+// the group-by does. The semiring must be one whose float form matches SQL's
+// aggregate (min, max or sum over + or *). Rows fold in the join's order —
+// probe row, then block order — so groups come out in the group-by's
+// first-touch order.
+func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, workers int, exact bool, sp *obs.Span) (out *relation.Relation, ok bool, err error) {
+	ar := av.Rel
+	if exact && !floatCol(c, cc.W) {
+		return nil, false, nil
+	}
+	var csr *relation.CSR
+	var idx *relation.HashIndex
+	var dict *relation.ColumnDict
+	var hit bool
+	if path == CachedCSR {
+		if csr, hit, err = e.ensureCSR(av, aJoin, aKeep, ac.W); err != nil {
+			return nil, false, err
+		}
+		if exact && (csr.FloatWeights == nil || csr.Dst.FloatKeys()) {
+			return nil, false, nil
+		}
+	} else {
+		if idx, hit, err = e.ensureHashIndex(av, []int{aJoin}); err != nil {
+			return nil, false, err
+		}
+		// The group-column dictionary rides the same per-version cache as
+		// the index; it is an executor memo, not a user-visible index, so it
+		// is not charged to the IndexBuilds counter.
+		if dict, _, err = av.EnsureColumnDict(aKeep); err != nil {
+			return nil, false, err
+		}
+		if exact && (!floatCol(ar, ac.W) || dict.FloatKeys()) {
+			return nil, false, nil
+		}
+	}
+	e.Cnt.add(&e.Cnt.Joins, 1)
+	e.Cnt.add(&e.Cnt.GroupBys, 1)
+	if csr != nil {
+		out = ra.FusedMVJoinCSR(ar, c, csr, cc, sr, workers, e.gov, sp)
+	} else {
+		out = ra.FusedMVJoin(ar, c, idx, dict, ac, cc, aKeep, sr, workers, e.gov, sp)
+		if sp != nil {
+			sp.Algo = "fused-hash"
+		}
+	}
+	if sp != nil {
+		sp.IndexBuilt, sp.IndexCacheHit = !hit, hit
+		sp.LeftRows, sp.RightRows, sp.OutRows = int64(ar.Len()), int64(c.Len()), int64(out.Len())
+		sp.Dur = time.Since(sp.Start)
+		e.Emit(*sp)
+	}
+	return out, true, nil
+}
+
+// floatCol reports whether every value of column col of r is a float.
+func floatCol(r *relation.Relation, col int) bool {
+	for _, t := range r.Tuples {
+		if t[col].K != value.KindFloat {
+			return false
+		}
+	}
+	return true
+}
+
+// AggJoin is the SQL executor's agg-join: the equi-join of probe rows c with
+// the named catalog table on c's cc.ID = the table's aJoin, grouped on the
+// table's aKeep with one semiring aggregate ⊕(c.W ⊙ table.ac.W), folded by
+// mvFold over the access path the planner chose (ChooseAggJoinSide) from
+// the statement's view of the table. The kernel runs serially. The executor
+// always passes exact; ok false then means the data is not foldable exactly
+// and the caller runs the join and the group-by instead (exact false folds
+// as MVJoin does — the fault a planner mutation plants). The output is the
+// groups' (key, aggregate) rows; the caller names the columns.
+func (e *Engine) AggJoin(name string, path AccessPath, c *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, exact bool, sp *obs.Span) (out *relation.Relation, ok bool, err error) {
+	defer govern.RecoverTo(&err)
+	v, err := e.viewOf(name)
+	if err != nil {
+		return nil, false, err
+	}
+	return e.mvFold(v, path, c, ac, cc, aJoin, aKeep, sr, 1, exact, sp)
 }
 
 // MMJoin computes the aggregate-join of two matrix tables (Eq. (3)) under

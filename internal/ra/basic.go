@@ -16,12 +16,13 @@
 // tuples in and out — and no operator mutates a tuple it did not allocate;
 // the one in-place fold, the parallel group-by merge, clones its accumulator
 // rows first, see parallel.go). Operators may therefore SHARE surviving
-// input tuples in their outputs instead of cloning them — Select, Limit, and
-// the vectorized kernels do — but must never share the Tuples slice itself
-// (Rename excepted: ρ is explicitly a shallow relabeling view): the output's
-// row slice is always freshly allocated, so reordering or appending to a
-// result cannot disturb its source. Operators that compute new values
-// (Project, GroupBy, joins) allocate fresh tuples as before.
+// input tuples in their outputs instead of cloning them — Select, Limit,
+// Distinct and the vectorized kernels do — but must never share the Tuples
+// slice itself (Rename excepted: ρ is explicitly a shallow relabeling
+// view): the output's row slice is always freshly allocated, so reordering
+// or appending to a result cannot disturb its source. Operators that
+// compute new values (Project, GroupBy, joins) allocate fresh tuples as
+// before.
 package ra
 
 import (
@@ -128,25 +129,32 @@ func UnionAll(r, s *relation.Relation) *relation.Relation {
 	return out
 }
 
-// Distinct removes duplicate tuples (SQL DISTINCT).
+// Distinct removes duplicate tuples (SQL DISTINCT), keeping each first
+// occurrence in input order. Kept tuples are shared with r per the aliasing
+// contract. The hash table grows with the output, not the input — a
+// recursive step's input is mostly duplicates: it maps a hash to the first
+// kept tuple carrying it, and later kept tuples with the same hash chain
+// through next.
 func Distinct(r *relation.Relation) *relation.Relation {
 	out := relation.New(r.Sch)
-	seen := make(map[uint64][]relation.Tuple, r.Len())
+	first := make(map[uint64]int32)
+	var next []int32 // next[i]: the kept tuple chained after out.Tuples[i], -1 = none
 	for _, t := range r.Tuples {
 		h := t.Hash()
-		dup := false
-		for _, prev := range seen[h] {
-			if prev.Equal(t) {
-				dup = true
-				break
-			}
+		head, ok := first[h]
+		if !ok {
+			head = -1
 		}
-		if dup {
+		i := head
+		for i >= 0 && !out.Tuples[i].Equal(t) {
+			i = next[i]
+		}
+		if i >= 0 {
 			continue
 		}
-		c := t.Clone()
-		seen[h] = append(seen[h], c)
-		out.Tuples = append(out.Tuples, c)
+		first[h] = int32(len(out.Tuples))
+		next = append(next, head)
+		out.Tuples = append(out.Tuples, t)
 	}
 	return out
 }

@@ -52,12 +52,13 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 		{Name: "ID", Type: a.Sch[csr.DstCol].Type},
 		{Name: "vw", Type: value.KindFloat},
 	}
-	// Resolve pass: every probe row's source ordinal (-1 when absent), and
-	// whether every probe weight is a float.
+	// Resolve pass: every probe row's source ordinal (-1 when absent or
+	// NULL — an equi-join key, see EquiJoin), and whether every probe weight
+	// is a float.
 	ords := make([]int32, c.Len())
 	floatProbe := true
 	for i, ct := range c.Tuples {
-		if ord, ok := csr.SrcOrd(ct[cc.ID]); ok {
+		if ord, ok := csr.SrcOrd(ct[cc.ID]); ok && !ct[cc.ID].IsNull() {
 			ords[i] = ord
 		} else {
 			ords[i] = -1
@@ -145,7 +146,7 @@ func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, 
 		gt = runMorsels(b.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			ords := gt.scratchOrds(hi - lo)
 			for i, bt := range b.Tuples[lo:hi] {
-				if ord, ok := csr.SrcOrd(bt[bJoin]); ok {
+				if ord, ok := csr.SrcOrd(bt[bJoin]); ok && !bt[bJoin].IsNull() {
 					ords[i] = ord
 				} else {
 					ords[i] = -1
@@ -174,7 +175,7 @@ func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, 
 		gt = runMorsels(a.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			ords := gt.scratchOrds(hi - lo)
 			for i, at := range a.Tuples[lo:hi] {
-				if ord, ok := csr.SrcOrd(at[aJoin]); ok {
+				if ord, ok := csr.SrcOrd(at[aJoin]); ok && !at[aJoin].IsNull() {
 					ords[i] = ord
 				} else {
 					ords[i] = -1

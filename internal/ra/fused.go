@@ -383,7 +383,7 @@ func densePartials(sr semiring.Semiring, groups int) func(int) *denseGroups {
 // immutable edge table is built once and probed by each iteration's fresh
 // vector, inverting the build/probe roles of the EquiJoin+GroupBy plan
 // (which rebuilt on the vector every iteration). idx must index a on
-// exactly {aJoin}.
+// exactly {aJoin}. A NULL probe key matches nothing, as in EquiJoin.
 //
 // dict optionally dictionary-encodes a's aKeep column (cached alongside the
 // index); when present and covering a, the fold becomes a dense-array
@@ -405,6 +405,9 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 		ords := dict.Ords
 		dg := runMorsels(c.Len(), workers, densePartials(sr, len(dict.Keys)), gov, func(dg *denseGroups, lo, hi int) {
 			for _, ct := range c.Tuples[lo:hi] {
+				if ct[cc.ID].IsNull() {
+					continue
+				}
 				idx.ProbeEach(ct, probeCols, func(row int) bool {
 					at := a.Tuples[row]
 					dg.fold(ords[row], sr.Times(at[ac.W], ct[cc.W]))
@@ -416,6 +419,9 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 	}
 	gt := runMorsels(c.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 		for _, ct := range c.Tuples[lo:hi] {
+			if ct[cc.ID].IsNull() {
+				continue
+			}
 			idx.ProbeEach(ct, probeCols, func(row int) bool {
 				at := a.Tuples[row]
 				gt.fold(at[aKeep], value.Value{}, false, sr.Times(at[ac.W], ct[cc.W]))
@@ -447,6 +453,9 @@ func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft boo
 		probeCols := []int{bJoin}
 		gt = runMorsels(b.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			for _, bt := range b.Tuples[lo:hi] {
+				if bt[bJoin].IsNull() {
+					continue
+				}
 				idx.ProbeEach(bt, probeCols, func(row int) bool {
 					at := a.Tuples[row]
 					gt.fold(at[aKeep], bt[bKeep], true, sr.Times(at[ac.W], bt[bc.W]))
@@ -458,6 +467,9 @@ func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft boo
 		probeCols := []int{aJoin}
 		gt = runMorsels(a.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
 			for _, at := range a.Tuples[lo:hi] {
+				if at[aJoin].IsNull() {
+					continue
+				}
 				idx.ProbeEach(at, probeCols, func(row int) bool {
 					bt := b.Tuples[row]
 					gt.fold(at[aKeep], bt[bKeep], true, sr.Times(at[ac.W], bt[bc.W]))

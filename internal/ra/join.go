@@ -85,7 +85,11 @@ type EquiJoinSpec struct {
 }
 
 // EquiJoin computes r ⋈ s on the key columns using the requested algorithm.
-// The output schema is r.Sch ++ s.Sch, narrowed to spec.Keep when set.
+// The output schema is r.Sch ++ s.Sch, narrowed to spec.Keep when set. A
+// key is matched under SQL's =: a probe row with a NULL in a key column
+// matches nothing (a NULL-keyed build row is then never reached either),
+// every other key by value.Equal. Each algorithm still charges the governor
+// for every probe row it reads, NULL-keyed or not.
 func EquiJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 	switch spec.Algo {
 	case SortMergeJoin, IndexMergeJoin:
@@ -94,6 +98,9 @@ func EquiJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 		out := relation.New(joinSchema(r, s, spec.Keep))
 		for _, rt := range r.Tuples {
 			spec.Gov.MustStep(1)
+			if rt.NullOn(spec.LeftCols) {
+				continue
+			}
 			for _, st := range s.Tuples {
 				if rt.EqualOn(spec.LeftCols, st, spec.RightCols) {
 					out.Tuples = append(out.Tuples, joinTuple(rt, st, spec.Keep))
@@ -124,6 +131,9 @@ func hashJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 	}
 	for _, rt := range r.Tuples {
 		spec.Gov.MustStep(1)
+		if rt.NullOn(spec.LeftCols) {
+			continue
+		}
 		idx.ProbeEach(rt, spec.LeftCols, func(row int) bool {
 			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], spec.Keep))
 			return true
@@ -161,7 +171,7 @@ func csrJoin(r, s *relation.Relation, csr *relation.CSR, spec EquiJoinSpec) *rel
 	total := 0
 	for i, rt := range r.Tuples {
 		ord, ok := csr.SrcOrd(rt[lc])
-		if !ok {
+		if !ok || rt[lc].IsNull() {
 			ords[i] = -1
 			continue
 		}
@@ -275,9 +285,9 @@ func mergeJoin(r, s *relation.Relation, spec EquiJoinSpec) *relation.Relation {
 			i++
 		case c > 0:
 			j++
-		case !lt.EqualOn(spec.LeftCols, rt, spec.RightCols):
-			// A NaN key: it sorts equal to NaN but, as in the hash join,
-			// matches nothing.
+		case !lt.EqualOn(spec.LeftCols, rt, spec.RightCols) || lt.NullOn(spec.LeftCols):
+			// A NaN key sorts equal to NaN and a NULL key to NULL, but, as
+			// in the hash join, neither matches anything.
 			i++
 		default:
 			// Expand the equal-key block on the right.
@@ -318,8 +328,9 @@ func ThetaJoin(r, s *relation.Relation, pred Pred) (*relation.Relation, error) {
 	return out, nil
 }
 
-// LeftOuterJoin computes r ⟕ s on key columns: unmatched r tuples are padded
-// with NULLs on the s side. gov, when non-nil, makes the probe loop a
+// LeftOuterJoin computes r ⟕ s on key columns: unmatched r tuples — a
+// NULL-keyed one among them, as in EquiJoin — are padded with NULLs on the s
+// side. gov, when non-nil, makes the probe loop a
 // cooperative checkpoint (see EquiJoinSpec.Gov).
 func LeftOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Governor) *relation.Relation {
 	out := relation.New(r.Sch.Concat(s.Sch))
@@ -331,11 +342,13 @@ func LeftOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Gove
 	for _, rt := range r.Tuples {
 		gov.MustStep(1)
 		matchedAny := false
-		idx.ProbeEach(rt, lCols, func(row int) bool {
-			matchedAny = true
-			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
-			return true
-		})
+		if !rt.NullOn(lCols) {
+			idx.ProbeEach(rt, lCols, func(row int) bool {
+				matchedAny = true
+				out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
+				return true
+			})
+		}
 		if !matchedAny {
 			out.Tuples = append(out.Tuples, joinTuple(rt, pad, nil))
 		}
@@ -344,7 +357,8 @@ func LeftOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Gove
 }
 
 // FullOuterJoin computes r ⟗ s on key columns: unmatched tuples from either
-// side are padded with NULLs on the other side. This is the implementation
+// side — NULL-keyed ones among them, as in EquiJoin — are padded with NULLs
+// on the other side. This is the implementation
 // vehicle for union-by-update that the paper finds fastest (Tables 4 and 5).
 // gov, when non-nil, checkpoints both probe sweeps.
 func FullOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Governor) *relation.Relation {
@@ -362,12 +376,14 @@ func FullOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Gove
 	for _, rt := range r.Tuples {
 		gov.MustStep(1)
 		matchedAny := false
-		idx.ProbeEach(rt, lCols, func(row int) bool {
-			matchedAny = true
-			matched[row] = true
-			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
-			return true
-		})
+		if !rt.NullOn(lCols) {
+			idx.ProbeEach(rt, lCols, func(row int) bool {
+				matchedAny = true
+				matched[row] = true
+				out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
+				return true
+			})
+		}
 		if !matchedAny {
 			out.Tuples = append(out.Tuples, joinTuple(rt, rPad, nil))
 		}

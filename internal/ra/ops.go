@@ -107,10 +107,12 @@ func (i AntiJoinImpl) String() string {
 }
 
 // AntiJoin computes r ▷ s on key columns with the chosen implementation.
-// All three agree when no NULL keys are present; AntiNotIn follows SQL's
-// three-valued logic (any NULL in s empties the result; NULL r-keys are
-// never returned). gov, when non-nil, makes every per-tuple loop a
-// cooperative checkpoint.
+// All three agree when no NULL keys are present. AntiLeftOuter matches keys
+// as LeftOuterJoin does (a NULL r-key matches nothing, so its tuple is
+// returned); AntiNotExists matches by value.Equal (a NULL r-key matches a
+// NULL s-key); AntiNotIn follows SQL's three-valued logic (any NULL in s
+// empties the result; NULL r-keys are never returned). gov, when non-nil,
+// makes every per-tuple loop a cooperative checkpoint.
 func AntiJoin(r, s *relation.Relation, rCols, sCols []int, impl AntiJoinImpl, gov *govern.Governor) *relation.Relation {
 	switch impl {
 	case AntiLeftOuter:

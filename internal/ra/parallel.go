@@ -58,6 +58,9 @@ func EquiJoinParallel(r, s *relation.Relation, spec EquiJoinSpec, workers int) *
 				if spec.Gov.Step(1) != nil {
 					break
 				}
+				if rt.NullOn(spec.LeftCols) {
+					continue
+				}
 				if csr != nil {
 					ord, ok := csr.SrcOrd(rt[spec.LeftCols[0]])
 					if !ok {

@@ -15,11 +15,11 @@ import (
 )
 
 // ubuFullOuterRef is the two-pass union-by-update the streamed ubuFullOuter
-// replaces, kept as its reference: materialize FullOuterJoin(r, s) on the
-// keys, then coalesce(s.*, r.*) row by row into the output. With wantDelta
-// it collects the coalesced rows that differ from their r side.
+// replaces, kept as its reference: materialize the full outer join of r and
+// s on the keys, then coalesce(s.*, r.*) row by row into the output. With
+// wantDelta it collects the coalesced rows that differ from their r side.
 func ubuFullOuterRef(r, s *relation.Relation, keyCols []int, gov *govern.Governor, wantDelta bool) (out, delta *relation.Relation) {
-	joined := FullOuterJoin(r, s, keyCols, keyCols, gov)
+	joined := fullOuterJoinEqual(r, s, keyCols, gov)
 	arity := r.Sch.Arity()
 	out = relation.NewWithCap(r.Sch, joined.Len())
 	if wantDelta {
@@ -37,6 +37,35 @@ func ubuFullOuterRef(r, s *relation.Relation, keyCols []int, gov *govern.Governo
 		}
 	}
 	return out, delta
+}
+
+// fullOuterJoinEqual is FullOuterJoin with union-by-update's key equality:
+// value.Equal, under which a NULL key matches a NULL key (FullOuterJoin
+// follows SQL's = and leaves NULL-keyed rows unmatched).
+func fullOuterJoinEqual(r, s *relation.Relation, keyCols []int, gov *govern.Governor) *relation.Relation {
+	out := relation.New(r.Sch.Concat(s.Sch))
+	idx := relation.BuildHashIndex(s, keyCols)
+	lPad, rPad := make(relation.Tuple, r.Sch.Arity()), make(relation.Tuple, s.Sch.Arity())
+	matched := make([]bool, s.Len())
+	for _, rt := range r.Tuples {
+		gov.MustStep(1)
+		matchedAny := false
+		idx.ProbeEach(rt, keyCols, func(row int) bool {
+			matchedAny, matched[row] = true, true
+			out.Tuples = append(out.Tuples, joinTuple(rt, s.Tuples[row], nil))
+			return true
+		})
+		if !matchedAny {
+			out.Tuples = append(out.Tuples, joinTuple(rt, rPad, nil))
+		}
+	}
+	for i, st := range s.Tuples {
+		gov.MustStep(1)
+		if !matched[i] {
+			out.Tuples = append(out.Tuples, joinTuple(lPad, st, nil))
+		}
+	}
+	return out
 }
 
 // ubuRandRel returns a relation (id INT, a FLOAT, b STRING) whose ids are

@@ -23,8 +23,9 @@ import (
 // relation.CSR walks the CSR's ColumnDict codes and per-source edge blocks
 // directly (no per-query build at all); every other atom gets a view-private
 // hash trie built once per execution, keyed level by level in elimination
-// order. Match semantics are value.Equal throughout — NULL equals NULL,
-// numerics compare across int/float — identical to the engine's hash joins,
+// order. Match semantics are the engine's equi-join keys' — a NULL binding
+// matches nothing (SQL's =), every other value matches by value.Equal
+// (numerics compare across int/float) — identical to the hash joins,
 // so the operator is a drop-in replacement for a binary join tree over the
 // same atoms: it emits, for every full variable binding, the cross product
 // of each atom's matching rows, preserving exact bag multiplicities.
@@ -500,6 +501,9 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 		for p := int32(0); p < int32(best); p++ {
 			spec.Gov.MustStep(1)
 			cand := atoms[it.atom].key(it.level, p)
+			if cand.IsNull() {
+				continue // every variable is an equi-join key
+			}
 			bound := 0
 			for _, r := range refs {
 				stats.Probes++

@@ -148,8 +148,8 @@ func TestWCOJRepeatedVariableOnOneAtom(t *testing.T) {
 }
 
 func TestWCOJNullSemanticsMatchHashJoin(t *testing.T) {
-	// NULL equals NULL under value.Equal — hash joins match NULL keys, so
-	// the WCOJ path must too.
+	// A NULL key matches nothing under SQL's = — the hash joins skip NULL
+	// probes, so the WCOJ path must bind no variable to NULL either.
 	mk := func(q string, pairs [][2]value.Value) *relation.Relation {
 		r := relation.New(schema.Cols(value.KindInt, "F", "T").Qualify(q))
 		for _, p := range pairs {
@@ -165,8 +165,8 @@ func TestWCOJNullSemanticsMatchHashJoin(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("NULL semantics diverge: got %d rows, want %d", got.Len(), want.Len())
 	}
-	if want.Len() == 0 {
-		t.Fatal("reference should match NULL cycles")
+	if want.Len() != 1 {
+		t.Fatalf("reference found %d triangles, want only the all-1 cycle", want.Len())
 	}
 }
 

@@ -133,6 +133,11 @@ type ColumnDict struct {
 	// uses the buckets.
 	dense  []int32
 	sparse bool
+	// floatKeys records that some encoded value is a float: equal values
+	// may then have distinct spellings (Int 1 and Float 1, -0 and +0) and a
+	// NaN never equals itself, so the dictionary's first-seen spelling and
+	// grouping can differ from a group-by over another row order.
+	floatKeys bool
 }
 
 // denseSlack bounds the dense map's size relative to the number of distinct
@@ -172,12 +177,19 @@ func (d *ColumnDict) Extend(rel *Relation) {
 			d.Keys = append(d.Keys, t[d.Col])
 			d.buckets[h] = append(d.buckets[h], ord)
 		}
+		d.floatKeys = d.floatKeys || t[d.Col].K == value.KindFloat
 		d.Ords = append(d.Ords, ord)
 	}
 	if len(d.Keys) > prevKeys {
 		d.extendDense(prevKeys)
 	}
 }
+
+// FloatKeys reports whether some encoded value of the column is a float.
+// Without one, two rows fall in one ordinal exactly when their values are
+// equal and spelled alike, so a group-by over the rows in any order groups
+// and spells them as the dictionary does.
+func (d *ColumnDict) FloatKeys() bool { return d.floatKeys }
 
 // denseKey extracts the dense-map index of a key value: integral numerics
 // (Int, or Float with an integral value — value.Equal treats Int(3) and

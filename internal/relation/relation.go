@@ -69,6 +69,17 @@ func (t Tuple) EqualOn(cols []int, o Tuple, ocols []int) bool {
 	return true
 }
 
+// NullOn reports whether any of the given columns holds NULL: an equi-join
+// key that does, matches nothing under SQL's =, NULL included.
+func (t Tuple) NullOn(cols []int) bool {
+	for _, c := range cols {
+		if t[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
 // CompareOn orders tuples lexicographically on the given columns.
 func (t Tuple) CompareOn(cols []int, o Tuple, ocols []int) int {
 	for i := range cols {

@@ -74,7 +74,7 @@ func (x *Exec) execute(n *planNode, analyze bool) (*relation.Relation, *obs.Plan
 		}
 	}
 	var t0 time.Time
-	if analyze || (n.op == opEquiJoin || n.op == opMultiway) && x.Eng.Observing() {
+	if analyze || (n.op == opEquiJoin || n.op == opMultiway || n.op == opAggJoin) && x.Eng.Observing() {
 		t0 = time.Now()
 	}
 	out, note, err := x.apply(n, ins, t0)
@@ -130,6 +130,8 @@ func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *
 		return x.filter(ins[0], n.pred, n.vec)
 	case opAggregate:
 		return x.aggregate(n, ins[0])
+	case opAggJoin:
+		return x.aggJoin(n, ins, t0)
 	case opProject:
 		if n.passthrough {
 			return &relation.Relation{Sch: n.sch, Tuples: ins[0].Tuples}, "", nil
@@ -191,6 +193,34 @@ func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) *rel
 		x.Eng.Emit(*sp)
 	}
 	return out
+}
+
+// aggJoin runs an agg-join node: the fused MV-join over the build table's
+// planned access path when the data is foldable exactly (engine.AggJoin),
+// else the equi-join and the aggregate the node replaced, noted " (not
+// folded)". The fold charges the governor what the join it replaces does —
+// one row per probe row — and the bytes of its grouped output, as the
+// vectorized aggregate does; it materializes no join intermediate.
+func (x *Exec) aggJoin(n *planNode, ins []*relation.Relation, t0 time.Time) (*relation.Relation, string, error) {
+	f := n.fold
+	var sp *obs.Span
+	if x.Eng.Observing() {
+		sp = &obs.Span{Op: "agg-join", Note: "sql agg-join", Start: t0}
+	}
+	out, ok, err := x.Eng.AggJoin(n.kids[1].ref.Name, f.path, ins[0], f.build, f.probe, f.build.F, f.build.T, f.sr, !f.inexact, sp)
+	if err != nil {
+		return nil, "", err
+	}
+	if ok {
+		out.Sch = n.sch
+		return out, "", x.Eng.Gov().ChargeBytes(int64(out.Len()) * int64(out.Sch.Arity()) * 16)
+	}
+	joined, _, err := x.apply(f.unfolded.kids[0], ins, t0)
+	if err != nil {
+		return nil, "", err
+	}
+	out, _, err = x.aggregate(f.unfolded, joined)
+	return out, " (not folded)", err
 }
 
 // multiwayJoin runs the cyclic core through the worst-case-optimal join.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/semiring"
 	"repro/internal/value"
 )
 
@@ -22,7 +23,10 @@ import (
 // and over it: a conjunct "column = literal" on a plain catalog table
 // becomes an index lookup at the scan (planLookups), and every equi-join of
 // the chain emits only the columns the rest of its block reads
-// (pruneChain). Every other non-key conjunct is a residual filter.
+// (pruneChain). Every other non-key conjunct is a residual filter. Above
+// the chain, a global count(*) folds into a multiway join (foldsCount) and a
+// one-aggregate GROUP BY over one equi-join folds with it into an agg-join
+// (foldsAggJoin).
 
 // planOp enumerates the node kinds.
 type planOp uint8
@@ -37,6 +41,7 @@ const (
 	opMultiway                // cyclic core through the worst-case-optimal join
 	opFilter                  // residual conjuncts
 	opAggregate               // GROUP BY / global aggregates, then HAVING
+	opAggJoin                 // equi-join + semiring group-by as one fused MV-join
 	opProject                 // select list; not rendered, its input shows in its place
 	opDistinct
 	opSort
@@ -75,7 +80,8 @@ type planNode struct {
 	items []SelectItem
 	agg   *aggPlan // aggregate; on a multiway node, the folded count(*) calls
 
-	join     *joinPlan // outer join, equi-join, product, multiway join
+	join     *joinPlan // outer join, equi-join, product, multiway join; agg-join: the join it folds
+	fold     *aggJoinPlan
 	sortCols []int
 }
 
@@ -103,6 +109,22 @@ type lookupPlan struct {
 	col  int
 	key  value.Value
 	path engine.AccessPath
+}
+
+// aggJoinPlan is an agg-join's static half: the semiring its aggregate and
+// operator name, the columns the fold reads — the probe side's join key and
+// ⊙ operand, the build table's join key, group key and ⊙ operand — the
+// build table's access path, and the aggregate node (over the equi-join
+// node, over the agg-join's own inputs) it replaced, which runs instead
+// when the data is not foldable exactly. inexact and the group key are
+// changed only by the planner mutations (RunMutated).
+type aggJoinPlan struct {
+	sr       semiring.Semiring
+	probe    ra.VecCols // ID: join key, W: ⊙ operand
+	build    ra.MatCols // F: join key, T: group key, W: ⊙ operand
+	path     engine.AccessPath
+	unfolded *planNode
+	inexact  bool
 }
 
 // aggPlan is the aggregate node's static half: where the group keys sit in
@@ -719,6 +741,10 @@ func (x *Exec) planAggregate(s *SelectStmt, in *planNode) (*planNode, error) {
 		return x.projectNode(items, in), nil
 	}
 	n := &planNode{op: opAggregate, stmt: s, agg: a, vec: x.vectorized(), sch: a.virtual, kids: []*planNode{in}}
+	if f := x.foldsAggJoin(s, in, a); f != nil {
+		f.unfolded = n
+		n = &planNode{op: opAggJoin, stmt: s, agg: a, sch: a.virtual, kids: in.kids, join: in.join, fold: f}
+	}
 	return x.projectNode(items, n), nil
 }
 
@@ -737,6 +763,85 @@ func foldsCount(s *SelectStmt, in *planNode, a *aggPlan) bool {
 		}
 	}
 	return true
+}
+
+// foldsAggJoin returns the agg-join plan when the aggregate and the
+// equi-join beneath it are together one MV-join (Eq. (4)) — a join plus a
+// semiring group-by — that the fused kernel folds without materializing the
+// join, or nil. The aggregate must read the join directly (no residual
+// filter or product between them); the join must be a hash join on one key
+// column whose build side is a catalog table with a cached access path,
+// under a profile that hash-joins temp tables too (the Oracle- and DB2-like
+// ones: the PostgreSQL-like profile keeps the join and group-by plans the
+// paper measures for it, over base tables as well); the block must group by
+// exactly one column of the build side other than its join key, have no
+// HAVING, and compute exactly one aggregate ⊕(p ⊗ b) with p a probe-side
+// column and b a build-side column, each resolving in its side alone, where
+// the aggregate and the operator name a built-in semiring: min and +
+// (min-plus), sum and * (plus-times), max and * (max-times), min and *
+// (min-times). Planning reads only schemas and the build table's metadata
+// (ChooseAggJoinSide).
+func (x *Exec) foldsAggJoin(s *SelectStmt, in *planNode, a *aggPlan) *aggJoinPlan {
+	if in.op != opEquiJoin || in.join.algo != ra.HashJoin || x.Eng.Prof.JoinAlgo(false) != ra.HashJoin ||
+		in.join.path == engine.FreshBuild || len(in.join.lCols) != 1 ||
+		len(s.GroupBy) != 1 || s.Having != nil || len(a.calls) != 1 || a.calls[0].Star {
+		return nil
+	}
+	probe, build := in.kids[0].sch, in.kids[1].sch
+	// side resolves a column reference in exactly one input: 0 probe, 1 build.
+	side := func(e Expr) (int, int) {
+		cr, ok := e.(*ColRef)
+		if !ok {
+			return -1, 0
+		}
+		p, perr := probe.Resolve(cr.Table, cr.Name)
+		b, berr := build.Resolve(cr.Table, cr.Name)
+		switch {
+		case perr == nil && berr != nil:
+			return 0, p
+		case berr == nil && perr != nil:
+			return 1, b
+		}
+		return -1, 0
+	}
+	f := &aggJoinPlan{probe: ra.VecCols{ID: in.join.lCols[0]}, build: ra.MatCols{F: in.join.rCols[0]}}
+	gs, group := side(s.GroupBy[0])
+	arg, ok := a.calls[0].Args[0].(*Binary)
+	if gs != 1 || group == f.build.F || !ok {
+		return nil
+	}
+	if f.sr, ok = aggSemiring(a.kinds[0], arg.Op); !ok {
+		return nil
+	}
+	ls, lc := side(arg.L)
+	rs, rc := side(arg.R)
+	switch {
+	case ls == 0 && rs == 1:
+		f.probe.W, f.build.W = lc, rc
+	case ls == 1 && rs == 0:
+		f.probe.W, f.build.W = rc, lc
+	default:
+		return nil
+	}
+	f.build.T = group
+	f.path = x.Eng.ChooseAggJoinSide(in.kids[1].tab, f.build.F, f.build.T, f.build.W)
+	return f
+}
+
+// aggSemiring names the built-in semiring whose ⊕ is the aggregate and
+// whose ⊙ is the operator.
+func aggSemiring(kind ra.VecAggKind, op string) (semiring.Semiring, bool) {
+	switch {
+	case kind == ra.VecMin && op == "+":
+		return semiring.MinPlus(), true
+	case kind == ra.VecSum && op == "*":
+		return semiring.PlusTimes(), true
+	case kind == ra.VecMax && op == "*":
+		return semiring.MaxTimes(), true
+	case kind == ra.VecMin && op == "*":
+		return semiring.MinTimes(), true
+	}
+	return semiring.Semiring{}, false
 }
 
 func aggName(i int) string { return fmt.Sprintf("__agg%d", i) }
@@ -841,6 +946,14 @@ func (n *planNode) label(est bool) string {
 			l += " having " + ExprString(n.stmt.Having)
 		}
 		return l
+	case opAggJoin:
+		via := "csr"
+		if n.fold.path == engine.CachedHash {
+			via = "hash index"
+		}
+		f := n.agg.calls[0]
+		return fmt.Sprintf("agg-join on %s group by %s %s%s via %s", exprList(n.join.keys, " and "),
+			ExprString(n.stmt.GroupBy[0]), strings.ToLower(f.Name), ExprString(f.Args[0]), via)
 	case opDistinct:
 		return "distinct"
 	case opSort:

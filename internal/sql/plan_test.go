@@ -34,6 +34,8 @@ var planCases = []struct {
 	{"pruned_chain_under_group_by", "select c.ID, count(*) n from E a, E b, V c where a.T = b.F and b.T = c.ID group by c.ID having count(*) > 1 order by c.ID"},
 	{"pruned_to_no_columns", "select count(*) from E a, E b where a.T = b.F and b.T = 4"},
 	{"pinned_delta_frontier_stays_filtered", "select TC.F, E.T from TC, E where TC.T = E.F and TC.F = 0"},
+	{"agg_join", "select b.T, min(a.ew + b.ew) d from D a, D b where a.T = b.F group by b.T"},
+	{"agg_join_over_subquery_probe", "select b.T, 0.85 * sum(a.w * b.ew) + 1 r from (select T, ew w from D where F < 15) a, D b where a.T = b.F group by b.T order by b.T"},
 }
 
 var planProfiles = []engine.Profile{engine.OracleLike(), engine.DB2Like(), engine.PostgresLike(true)}

@@ -31,7 +31,25 @@ var (
 	pinLits  = []value.Value{value.Int(0), value.Int(1), value.Null}
 )
 
-type pushdownDB struct{ A, B []relation.Tuple }
+// pushdownDB is one database of a check: the rows of A and of B, which has
+// schema schB.
+type pushdownDB struct {
+	A, B []relation.Tuple
+	schB schema.Schema
+}
+
+// pushdownUniverse is the bounded set of databases a check enumerates:
+// every bag of at most -pushdown.rows rows of rowsA for A and of rowsB for
+// B(schB).
+type pushdownUniverse struct {
+	rowsA, rowsB []relation.Tuple
+	schB         schema.Schema
+}
+
+// pinUniverse is the pushdown templates' universe.
+func pinUniverse() pushdownUniverse {
+	return pushdownUniverse{tableRows(intDom, floatDom), tableRows(intDom, intDom), schB}
+}
 
 // sqlEq is SQL's = under three-valued logic, UNKNOWN read as false: NULL
 // on either side never matches, numbers compare across int and float, and
@@ -44,11 +62,12 @@ func sqlEq(a, b value.Value) bool {
 	return af == bf || math.IsNaN(af) && math.IsNaN(bf)
 }
 
-// keyEq is the engine's equi-join key equality, which the rewrites under
-// test do not touch: value.Equal, under which a NULL key matches a NULL key
-// and NaN matches nothing. The evaluator uses it for the "column = column"
-// conjuncts the planner turns into join keys, and sqlEq everywhere else.
-func keyEq(a, b value.Value) bool { return a.Equal(b) }
+// keyEq is the engine's equi-join key equality: SQL's = under
+// three-valued logic for NULL — a NULL key matches nothing, NULL included —
+// and value.Equal otherwise, under which NaN matches nothing. The evaluator
+// uses it for the "column = column" conjuncts the planner turns into join
+// keys, and sqlEq everywhere else.
+func keyEq(a, b value.Value) bool { return !a.IsNull() && !b.IsNull() && a.Equal(b) }
 
 // pushdownCase is one template: the statement for a pinned literal and
 // its brute-force nested-loop answer over a database.
@@ -314,7 +333,7 @@ func loadPushdownDB(t *testing.T, cfg pushdownConfig, db pushdownDB) *engine.Eng
 		name string
 		sch  schema.Schema
 		rows []relation.Tuple
-	}{{"A", schA, db.A}, {"B", schB, db.B}} {
+	}{{"A", schA, db.A}, {"B", db.schB, db.B}} {
 		rel := relation.New(tab.sch)
 		rel.Tuples = tab.rows
 		if cfg.analyzed {
@@ -370,12 +389,11 @@ func runPushdown(e *engine.Engine, c pushdownCase, q, mutation string) ([][]valu
 // case runs with its own literals, or with lits when set; brute is asked
 // about want(literal) — the mutation that swaps the literal for NULL is
 // asked about NULL. It stops after limit mismatches.
-func checkPushdown(t *testing.T, cases []pushdownCase, configs []pushdownConfig, lits []value.Value, want func(value.Value) value.Value, mutation string, limit int) (checked int, mismatches []string) {
+func checkPushdown(t *testing.T, u pushdownUniverse, cases []pushdownCase, configs []pushdownConfig, lits []value.Value, want func(value.Value) value.Value, mutation string, limit int) (checked int, mismatches []string) {
 	t.Helper()
-	rowsA, rowsB := tableRows(intDom, floatDom), tableRows(intDom, intDom)
-	for _, a := range bags(rowsA, *pushdownRows) {
-		for _, b := range bags(rowsB, *pushdownRows) {
-			db := pushdownDB{A: a, B: b}
+	for _, a := range bags(u.rowsA, *pushdownRows) {
+		for _, b := range bags(u.rowsB, *pushdownRows) {
+			db := pushdownDB{A: a, B: b, schB: u.schB}
 			for _, cfg := range configs {
 				e := loadPushdownDB(t, cfg, db)
 				for _, c := range cases {
@@ -417,7 +435,7 @@ func sameLit(v value.Value) value.Value { return v }
 // lookups through the CSR and through the hash index and with the filters
 // and sort-merge joins of an unanalyzed PostgreSQL-like set-up.
 func TestPushdownExhaustive(t *testing.T) {
-	checked, mismatches := checkPushdown(t, pushdownCases, pushdownConfigs, nil, sameLit, "", 5)
+	checked, mismatches := checkPushdown(t, pinUniverse(), pushdownCases, pushdownConfigs, nil, sameLit, "", 5)
 	for _, m := range mismatches {
 		t.Error(m)
 	}
@@ -438,7 +456,7 @@ func TestPushdownExhaustiveCatchesMutations(t *testing.T) {
 		{sql.MutateNullLookup, pushdownCases[:1], []value.Value{value.Int(0)}, func(value.Value) value.Value { return value.Null }},
 		{sql.MutateDropLaterKey, pushdownCases[5:6], pinLits[:1], sameLit},
 	} {
-		if _, mismatches := checkPushdown(t, m.cases, analyzed, m.lits, m.want, m.mutation, 1); len(mismatches) == 0 {
+		if _, mismatches := checkPushdown(t, pinUniverse(), m.cases, analyzed, m.lits, m.want, m.mutation, 1); len(mismatches) == 0 {
 			t.Errorf("the exhaustive check missed the mutation %q", m.mutation)
 		} else {
 			t.Logf("%q caught: %s", m.mutation, mismatches[0])

@@ -21,6 +21,14 @@ const (
 	// as its left key; the next join keeps reading the same position, which
 	// now holds another column (or none: an error).
 	MutateDropLaterKey = "pruning drops a later join's key column"
+	// MutateFoldNullOperands: the agg-join folds whatever its operands are,
+	// as the runners' MV-join does — a NULL operand's row still touches its
+	// group, which then reads the semiring's zero where SQL's aggregate
+	// reads NULL.
+	MutateFoldNullOperands = "agg-join folds NULL-operand rows"
+	// MutateFoldProbeKey: the agg-join groups by the join key — the probe
+	// row's key — instead of the build side's other endpoint.
+	MutateFoldProbeKey = "agg-join groups by the probe key"
 )
 
 // RunMutated runs s under one of the mutations above. A run the mutation
@@ -46,6 +54,12 @@ func mutate(n *planNode, mutation string) bool {
 	switch {
 	case mutation == MutateNullLookup && n.lookup != nil:
 		n.lookup.key = value.Null
+		return true
+	case mutation == MutateFoldNullOperands && n.op == opAggJoin:
+		n.fold.inexact = true
+		return true
+	case mutation == MutateFoldProbeKey && n.op == opAggJoin:
+		n.fold.build.T = n.fold.build.F
 		return true
 	case mutation == MutateDropLaterKey && n.op == opEquiJoin && n.kids[0].op == opEquiJoin:
 		low := n.kids[0]

@@ -65,6 +65,18 @@ echo "== fused smoke (float lane vs boxed lane, streamed union-by-update vs refe
 go test ./internal/semiring ./internal/ra -run 'FloatFormMatchesBoxed|FusedMVJoinCSRFloatLane|UnionByUpdateMatchesReference' -count=1
 go test ./internal/algos -run 'FloatLaneServesPRAndWCC' -count=1
 
+echo "== aggjoin smoke (join + semiring group-by folded vs unfolded, brute force, NULL keys)"
+# The exhaustive check at the CI bound, with its two planted fold mutations;
+# the folded SQL texts and statements against the join + group-by they
+# replace (in order, to the bit) and refimpl; the plan shape and the
+# governor accounting; the reach-shaped Distinct allocation bench.
+go test ./internal/sql -run 'AggJoinExhaustive' -count=1 -args -pushdown.rows=3
+go test ./internal/sql -run 'AggJoin' -count=1
+go test ./internal/withplus -run 'AggJoinTexts' -count=1
+go test ./graphsql -run 'MatchExplainAnalyzeGolden' -count=1
+go test -race ./internal/sql -run 'AggJoin' -count=1
+go test ./internal/ra -run 'DistinctMatchesReference|NullKey' -bench 'BenchmarkDistinctReachStep' -benchtime 1x -count=1
+
 echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
 
