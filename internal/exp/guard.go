@@ -19,8 +19,9 @@ const (
 	// perfRegressionX bounds an unobserved perf cell by its baseline time.
 	perfRegressionX = 1.75
 	// observerOverheadX bounds an observed perf cell by the unobserved one of
-	// the same process: DESIGN.md's "single pointer check when unobserved,
-	// cheap spans when observed" contract.
+	// the same process, the two measured in alternating repetitions:
+	// DESIGN.md's "single pointer check when unobserved, cheap spans when
+	// observed" contract.
 	observerOverheadX = 1.40
 	// sessionScalingX is the least 1→8 session throughput scaling. It needs
 	// the think-time closed loop, so concThink must not shrink.
@@ -195,6 +196,26 @@ func readBaseline(path string) ([]Record, error) {
 	return recs, nil
 }
 
+// sides lists the configurations the guard measures the experiment under,
+// in groups run side by side: the default configuration with, for the
+// observer A/B, its observed twin — the two alternate repetition by
+// repetition, so the overhead rule compares fastest with fastest under the
+// same conditions — and then the knob-flipped side of an on/off pair.
+func (x *Experiment) sides(cfg Config) [][]Config {
+	groups := [][]Config{{cfg}}
+	if x.ObserverAB {
+		observed := cfg
+		observed.Observe = true
+		groups[0] = append(groups[0], observed)
+	}
+	if x.Knob != nil {
+		off := cfg
+		*x.Knob(&off) = true
+		groups = append(groups, []Config{off})
+	}
+	return groups
+}
+
 // Guard is the bench gate (cmd/bench -exp guard). It measures every
 // experiment in this process — the default side, the knob-flipped side of
 // each on/off pair, and perf's observed side — checks each against its rule
@@ -211,24 +232,15 @@ func Guard(cfg Config, baselinePath string, log io.Writer) ([]Record, error) {
 		violations++
 	}
 	for _, x := range Experiments() {
-		sides := []Config{cfg}
-		if x.Knob != nil {
-			off := cfg
-			*x.Knob(&off) = true
-			sides = append(sides, off)
-		}
-		if x.ObserverAB {
-			observed := cfg
-			observed.Observe = true
-			sides = append(sides, observed)
-		}
 		var run []Record
-		for _, side := range sides {
-			recs, err := x.Run(side)
+		for _, group := range x.sides(cfg) {
+			recs, err := x.runSides(group)
 			if err != nil {
 				return all, err
 			}
-			run = append(run, recs...)
+			for _, side := range recs {
+				run = append(run, side...)
+			}
 		}
 		all = append(all, run...)
 		bad, notes := x.Check(run, base)

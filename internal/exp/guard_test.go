@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -176,5 +177,56 @@ func TestGuardReportsUnreadableBaseline(t *testing.T) {
 	got, err := readBaseline(p)
 	if err != nil || len(got) != 6 || got[3] != cleanCSR()[3] {
 		t.Errorf("baseline must round-trip through JSON: %v, %+v", err, got)
+	}
+}
+
+// TestObserverSidesAlternate: the guard measures perf's unobserved and
+// observed sides in one group whose repetitions alternate within each cell,
+// and each side keeps its own fastest repetition — so the overhead rule
+// compares best with best, measured under the same conditions.
+func TestObserverSidesAlternate(t *testing.T) {
+	groups := perfExp.sides(Config{})
+	if len(groups) != 1 || len(groups[0]) != 2 || groups[0][0].Observe || !groups[0][1].Observe {
+		t.Fatalf("perf's sides: %+v, want one group of the unobserved then the observed side", groups)
+	}
+	if groups := csrExp.sides(Config{}); len(groups) != 2 || !groups[1][0].NoCSR {
+		t.Fatalf("csr's sides: %+v, want the on side, then the off side alone", groups)
+	}
+	// Per cell, the repetitions' times: unobserved, observed.
+	times := map[string][2][]time.Duration{
+		"A": {{5, 3, 4}, {2, 6, 7}},
+		"B": {{9, 9, 1}, {8, 4, 8}},
+	}
+	var seq []string
+	x := &Experiment{Name: "ab", Reps: 3, cells: func(cfg Config) ([]cell, error) {
+		var out []cell
+		for _, name := range []string{"A", "B"} {
+			side, rep := 0, 0
+			if cfg.Observe {
+				side = 1
+			}
+			out = append(out, cell{rec: Record{Name: name}, run: func(r *Record) (time.Duration, error) {
+				seq = append(seq, fmt.Sprintf("%s%d", name, side))
+				d := times[name][side][rep] * time.Millisecond
+				rep++
+				return d, nil
+			}})
+		}
+		return out, nil
+	}}
+	recs, err := x.runSides(groups[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(seq, " "), "A0 A1 A0 A1 A0 A1 B0 B1 B0 B1 B0 B1"; got != want {
+		t.Errorf("repetition order %q, want %q", got, want)
+	}
+	want := [2][]float64{{3, 1}, {2, 4}}
+	for side := range recs {
+		for k, r := range recs[side] {
+			if r.Millis != want[side][k] || r.Exp != "ab" {
+				t.Errorf("side %d cell %s: %.1f ms, want its own best %.1f", side, r.Name, r.Millis, want[side][k])
+			}
+		}
 	}
 }

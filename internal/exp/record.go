@@ -138,38 +138,61 @@ func Experiments() []*Experiment {
 
 // Run measures the experiment under cfg, one record per cell.
 func (x *Experiment) Run(cfg Config) ([]Record, error) {
-	cells, err := x.cells(cfg)
+	sides, err := x.runSides([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, len(cells))
-	for _, c := range cells {
-		var rec Record
-		var best time.Duration
+	return sides[0], nil
+}
+
+// runSides measures the experiment under each configuration — one record
+// per cell per configuration — alternating the configurations repetition by
+// repetition within each cell, so a drift of the machine falls on every side
+// alike. Each side's record keeps its own first repetition's deterministic
+// fields and its own fastest time. Every configuration must yield the same
+// cells in the same order.
+func (x *Experiment) runSides(cfgs []Config) ([][]Record, error) {
+	sides := make([][]cell, len(cfgs))
+	for i, cfg := range cfgs {
+		cells, err := x.cells(cfg)
+		if err != nil {
+			return nil, err
+		}
+		sides[i] = cells
+	}
+	out := make([][]Record, len(cfgs))
+	for k := range sides[0] {
+		recs := make([]Record, len(cfgs))
+		best := make([]time.Duration, len(cfgs))
 		for rep := 0; rep < x.Reps; rep++ {
-			r := c.rec
-			d, err := c.run(&r)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s/%s: %w", x.Name, r.Name, r.Profile, err)
-			}
-			obs.Global.Counter("bench.runs").Inc()
-			obs.Global.Histogram("bench.run_us").Observe(d.Microseconds())
-			if rep == 0 {
-				rec = r
-			}
-			if rep == 0 || d < best {
-				best = d
+			for i := range cfgs {
+				r := sides[i][k].rec
+				d, err := sides[i][k].run(&r)
+				if err != nil {
+					return nil, fmt.Errorf("%s %s/%s: %w", x.Name, r.Name, r.Profile, err)
+				}
+				obs.Global.Counter("bench.runs").Inc()
+				obs.Global.Histogram("bench.run_us").Observe(d.Microseconds())
+				if rep == 0 {
+					recs[i] = r
+				}
+				if rep == 0 || d < best[i] {
+					best[i] = d
+				}
 			}
 		}
-		rec.Exp = x.Name
-		rec.Off = x.Knob != nil && *x.Knob(&cfg)
-		rec.Workers = cfg.Workers
-		rec.NsOp = best.Nanoseconds() / int64(max(rec.Queries, 1))
-		rec.Millis = float64(best.Microseconds()) / 1000.0
-		if rec.Statements > 0 {
-			rec.PerSec = float64(rec.Statements) / best.Seconds()
+		for i, cfg := range cfgs {
+			rec := recs[i]
+			rec.Exp = x.Name
+			rec.Off = x.Knob != nil && *x.Knob(&cfg)
+			rec.Workers = cfg.Workers
+			rec.NsOp = best[i].Nanoseconds() / int64(max(rec.Queries, 1))
+			rec.Millis = float64(best[i].Microseconds()) / 1000.0
+			if rec.Statements > 0 {
+				rec.PerSec = float64(rec.Statements) / best[i].Seconds()
+			}
+			out[i] = append(out[i], rec)
 		}
-		out = append(out, rec)
 	}
 	return out, nil
 }

@@ -397,13 +397,14 @@ func FullOuterJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Gove
 	return out
 }
 
-// SemiJoin computes r ⋉ s: the r tuples that join with at least one s tuple.
+// SemiJoin computes r ⋉ s: the r tuples that join with at least one s tuple
+// under SQL's =, so a NULL-keyed r tuple joins with none.
 func SemiJoin(r, s *relation.Relation, lCols, rCols []int, gov *govern.Governor) *relation.Relation {
 	out := relation.New(r.Sch)
 	idx := relation.BuildHashIndex(s, rCols)
 	for _, rt := range r.Tuples {
 		gov.MustStep(1)
-		if idx.Contains(rt, lCols) {
+		if !rt.NullOn(lCols) && idx.Contains(rt, lCols) {
 			out.Append(rt.Clone())
 		}
 	}

@@ -107,11 +107,11 @@ func (i AntiJoinImpl) String() string {
 }
 
 // AntiJoin computes r ▷ s on key columns with the chosen implementation.
-// All three agree when no NULL keys are present. AntiLeftOuter matches keys
-// as LeftOuterJoin does (a NULL r-key matches nothing, so its tuple is
-// returned); AntiNotExists matches by value.Equal (a NULL r-key matches a
-// NULL s-key); AntiNotIn follows SQL's three-valued logic (any NULL in s
-// empties the result; NULL r-keys are never returned). gov, when non-nil,
+// All three agree when no NULL keys are present. AntiLeftOuter and
+// AntiNotExists match keys by SQL's = as every equi-join does (a NULL r-key
+// matches nothing, so its tuple is returned); AntiNotIn follows SQL's
+// three-valued logic (any NULL in s empties the result; NULL r-keys are
+// never returned). gov, when non-nil,
 // makes every per-tuple loop a cooperative checkpoint.
 func AntiJoin(r, s *relation.Relation, rCols, sCols []int, impl AntiJoinImpl, gov *govern.Governor) *relation.Relation {
 	switch impl {
@@ -159,7 +159,7 @@ func AntiJoin(r, s *relation.Relation, rCols, sCols []int, impl AntiJoinImpl, go
 		idx := relation.BuildHashIndex(s, sCols)
 		for _, rt := range r.Tuples {
 			gov.MustStep(1)
-			if !idx.Contains(rt, rCols) {
+			if rt.NullOn(rCols) || !idx.Contains(rt, rCols) {
 				out.Append(rt.Clone())
 			}
 		}

@@ -202,17 +202,49 @@ func TestAntiJoinNotInNullSemantics(t *testing.T) {
 		t.Errorf("not in with NULL in S should be empty, got %v", got)
 	}
 	// NOT EXISTS / left outer join don't have that trap: 1 doesn't match 2
-	// and NULL doesn't equal anything, so both r rows survive... except the
-	// hash path treats NULL=NULL as a group match; verify documented outcome.
+	// and NULL doesn't equal anything, so both r rows survive.
 	got := AntiJoin(r, s, []int{0}, []int{0}, AntiNotExists, nil)
-	if got.Len() != 1 || got.At(0)[0].AsInt() != 1 {
-		t.Errorf("not exists: %v", got)
+	if !got.Equal(r) {
+		t.Errorf("not exists: %v, want both r rows", got)
 	}
 	// NULL r-key never qualifies for NOT IN even without NULL in S.
 	s2 := rel(ints("k"), []int64{2})
 	got2 := AntiJoin(r, s2, []int{0}, []int{0}, AntiNotIn, nil)
 	if got2.Len() != 1 || got2.At(0)[0].AsInt() != 1 {
 		t.Errorf("not in with NULL r-key: %v", got2)
+	}
+}
+
+// TestAntiJoinNullKeyNotExistsMatchesLeftOuter: NOT EXISTS and the left
+// outer join formulation both follow SQL's =, so over NULL keys on both
+// sides they return the same bag: every r tuple whose key is NULL or absent
+// from s.
+func TestAntiJoinNullKeyNotExistsMatchesLeftOuter(t *testing.T) {
+	keys := []value.Value{value.Int(1), value.Int(2), value.Null}
+	mk := func(keys []value.Value) *relation.Relation {
+		out := relation.New(ints("k"))
+		for _, k := range keys {
+			out.AppendVals(k)
+		}
+		return out
+	}
+	r := mk(keys)
+	for mask := 0; mask < 1<<len(keys); mask++ {
+		var sk []value.Value
+		for i, k := range keys {
+			if mask&(1<<i) != 0 {
+				sk = append(sk, k)
+			}
+		}
+		s := mk(sk)
+		exists := AntiJoin(r, s, []int{0}, []int{0}, AntiNotExists, nil)
+		outer := AntiJoin(r, s, []int{0}, []int{0}, AntiLeftOuter, nil)
+		if !exists.Equal(outer) {
+			t.Errorf("s keys %v: not exists %v, left outer %v", sk, exists, outer)
+		}
+		if !UnionAll(exists, SemiJoin(r, s, []int{0}, []int{0}, nil)).Equal(r) {
+			t.Errorf("s keys %v: semi-join and not exists do not partition r", sk)
+		}
 	}
 }
 

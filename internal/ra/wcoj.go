@@ -2,7 +2,6 @@ package ra
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/govern"
 	"repro/internal/relation"
@@ -132,43 +131,48 @@ type atomState struct {
 
 	// CSR fast path (binary atoms only).
 	csr    *relation.CSR
-	block  *csrBlock   // the bound source ordinal's block after level 0
-	blocks []*csrBlock // memoized per source ordinal
+	block  *csrBlock  // the bound source ordinal's block after level 0
+	blocks []csrBlock // memoized per source ordinal
 	// seen and the edge buffers are blockFor's scratch: seen[dst] is the
 	// target ordinal's position+1 in the block being grouped (0 = unseen).
 	seen           []int32
 	bufDst, bufRow []int32
+	// index resolves a target ordinal to its position in the bound block,
+	// so a depth-1 probe is one array load: index[dst] is stamp<<32 |
+	// position for the block indexed under the current stamp, and any other
+	// stamp reads as absent. The first probe after a bind indexes the block
+	// under a fresh stamp, which retires the previous block's entries
+	// without clearing them.
+	index   []uint64
+	stamp   uint32
+	indexed bool
 
 	pos int32 // bound key position at the last level: block.dsts or leaf keys
 }
 
 // csrBlock is one source ordinal's edges grouped by target ordinal: dsts in
 // first-seen edge order, the rows of dsts[k] at rows[starts[k]:starts[k+1]].
-// slots is an open-addressing index over dsts (position+1, 0 = empty; a
-// power-of-two length at most half full) that a probe hashes into, so dsts
-// keeps the first-seen order emission follows.
+// A block with no tail and no repeated target aliases the CSR's own arrays
+// and leaves starts nil: dsts[k]'s one row is rows[k].
 type csrBlock struct {
-	dsts   []int32
-	starts []int32
-	rows   []int32
-	slots  []int32
-	shift  uint8
+	dsts, starts, rows []int32
+	done               bool
 }
 
-// slot is the home slot of target ordinal dst (Fibonacci hashing).
-func (b *csrBlock) slot(dst int32) uint32 {
-	return uint32(dst) * 0x9E3779B1 >> b.shift
-}
-
-// find returns the position of target ordinal dst in dsts, or -1.
-func (b *csrBlock) find(dst int32) int32 {
-	mask := uint32(len(b.slots) - 1)
-	for i := b.slot(dst); ; i = (i + 1) & mask {
-		k := b.slots[i] - 1
-		if k < 0 || b.dsts[k] == dst {
-			return k
-		}
+// runLen returns the number of rows of target position k.
+func (b *csrBlock) runLen(k int32) int64 {
+	if b.starts == nil {
+		return 1
 	}
+	return int64(b.starts[k+1] - b.starts[k])
+}
+
+// run returns the rows of target position k.
+func (b *csrBlock) run(k int32) []int32 {
+	if b.starts == nil {
+		return b.rows[k : k+1]
+	}
+	return b.rows[b.starts[k]:b.starts[k+1]]
 }
 
 // levelsFor groups an atom's VarCols into per-variable levels ordered by the
@@ -244,15 +248,35 @@ rows:
 // walking the CSR main block then the tail chain (ascending row order, the
 // same order a trie build over the rows would see them).
 func (a *atomState) blockFor(ord int32) *csrBlock {
-	if b := a.blocks[ord]; b != nil {
+	b := &a.blocks[ord]
+	if b.done {
 		return b
 	}
+	b.done = true
 	c := a.csr
-	dst, rows := a.bufDst[:0], a.bufRow[:0]
+	var lo, hi int32
 	if int(ord)+1 < len(c.Offsets) {
-		lo, hi := c.Offsets[ord], c.Offsets[ord+1]
-		dst, rows = append(dst, c.Targets[lo:hi]...), append(rows, c.Rows[lo:hi]...)
+		lo, hi = c.Offsets[ord], c.Offsets[ord+1]
 	}
+	if int(ord) >= len(c.TailHead) || c.TailHead[ord] < 0 {
+		repeated := false
+		for _, d := range c.Targets[lo:hi] {
+			if a.seen[d] != 0 {
+				repeated = true
+				break
+			}
+			a.seen[d] = 1
+		}
+		for _, d := range c.Targets[lo:hi] {
+			a.seen[d] = 0
+		}
+		if !repeated {
+			b.dsts, b.rows = c.Targets[lo:hi], c.Rows[lo:hi]
+			return b
+		}
+	}
+	dst := append(a.bufDst[:0], c.Targets[lo:hi]...)
+	rows := append(a.bufRow[:0], c.Rows[lo:hi]...)
 	if int(ord) < len(c.TailHead) {
 		for e := c.TailHead[ord]; e >= 0; e = c.TailNext[e] {
 			dst, rows = append(dst, c.TailTargets[e]), append(rows, c.TailRows[e])
@@ -260,7 +284,7 @@ func (a *atomState) blockFor(ord int32) *csrBlock {
 	}
 	// Number the targets in first-seen order, counting each one's edges
 	// into starts[k+1]; the prefix sum then places every row.
-	b := &csrBlock{starts: []int32{0}}
+	b.starts = []int32{0}
 	for _, d := range dst {
 		k := a.seen[d] - 1
 		if k < 0 {
@@ -275,16 +299,8 @@ func (a *atomState) blockFor(ord int32) *csrBlock {
 		b.starts[k+1] += b.starts[k]
 	}
 	b.rows = make([]int32, len(rows))
-	lg := uint8(bits.Len(uint(2 * len(b.dsts))))
-	b.slots, b.shift = make([]int32, 1<<lg), 32-lg
-	mask := uint32(len(b.slots) - 1)
 	for k, d := range b.dsts {
 		a.seen[d] = b.starts[k] + 1 // reused as the placement cursor
-		i := b.slot(d)
-		for b.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		b.slots[i] = int32(k) + 1
 	}
 	for e, d := range dst {
 		b.rows[a.seen[d]-1] = rows[e]
@@ -294,8 +310,15 @@ func (a *atomState) blockFor(ord int32) *csrBlock {
 		a.seen[d] = 0
 	}
 	a.bufDst, a.bufRow = dst, rows
-	a.blocks[ord] = b
 	return b
+}
+
+// dict returns the CSR dictionary of the atom's depth-th level.
+func (a *atomState) dict(depth int) *relation.ColumnDict {
+	if depth == 0 {
+		return a.csr.Src
+	}
+	return a.csr.Dst
 }
 
 // count returns the number of distinct candidate values the atom offers at
@@ -310,38 +333,68 @@ func (a *atomState) count(depth int) int {
 	return len(a.path[depth].keys)
 }
 
+// ord returns the dictionary ordinal of the CSR candidate at position pos of
+// the atom's depth-th level: a source ordinal is its own position, a target
+// ordinal is read from the bound block.
+func (a *atomState) ord(depth int, pos int32) int32 {
+	if depth == 0 {
+		return pos
+	}
+	return a.block.dsts[pos]
+}
+
 // key returns the candidate value at position pos of the atom's depth-th
 // level; positions run over [0, count(depth)) in deterministic first-seen
 // order.
 func (a *atomState) key(depth int, pos int32) value.Value {
 	if a.csr != nil {
-		if depth == 0 {
-			return a.csr.Src.Keys[pos]
-		}
-		return a.csr.Dst.Keys[a.block.dsts[pos]]
+		return a.dict(depth).Keys[a.ord(depth, pos)]
 	}
 	return a.path[depth].keys[pos]
 }
 
 // find resolves v to its candidate position at the atom's depth-th level,
-// or -1 when no row offers it. On the CSR path both levels resolve through
-// the dictionaries' dense-id maps.
+// or -1 when no row offers it — the Value probe, for a level some trie atom
+// takes part in.
 func (a *atomState) find(depth int, v value.Value) int32 {
 	if a.csr == nil {
 		return a.path[depth].child(v)
 	}
-	if depth == 0 {
-		ord, ok := a.csr.Src.Lookup(v)
-		if !ok {
-			return -1
-		}
-		return ord
-	}
-	dst, ok := a.csr.Dst.Lookup(v)
+	ord, ok := a.dict(depth).Lookup(v)
 	if !ok {
 		return -1
 	}
-	return a.block.find(dst)
+	return a.findOrd(depth, ord)
+}
+
+// findOrd resolves a CSR atom's dictionary ordinal (-1 for none) to its
+// candidate position at the depth-th level, or -1: a source ordinal is its
+// position, a target ordinal's position in the bound block is one load from
+// index, which the first such probe per bound block fills.
+func (a *atomState) findOrd(depth int, ord int32) int32 {
+	if ord < 0 || depth == 0 {
+		return ord
+	}
+	if !a.indexed {
+		a.indexBlock()
+	}
+	if e := a.index[ord]; uint32(e>>32) == a.stamp {
+		return int32(uint32(e))
+	}
+	return -1
+}
+
+// indexBlock enters the bound block's targets in index under a fresh stamp.
+func (a *atomState) indexBlock() {
+	if a.stamp++; a.stamp == 0 { // wrapped: retire every entry for good
+		clear(a.index)
+		a.stamp = 1
+	}
+	tag := uint64(a.stamp) << 32
+	for k, d := range a.block.dsts {
+		a.index[d] = tag | uint64(k)
+	}
+	a.indexed = true
 }
 
 // bind binds the atom's depth-th level to candidate position pos, reporting
@@ -349,7 +402,7 @@ func (a *atomState) find(depth int, v value.Value) int32 {
 func (a *atomState) bind(depth int, pos int32) bool {
 	if a.csr != nil {
 		if depth == 0 {
-			a.block = a.blockFor(pos)
+			a.block, a.indexed = a.blockFor(pos), false
 			return len(a.block.dsts) > 0
 		}
 		a.pos = pos
@@ -380,20 +433,112 @@ func (a *atomState) ascend(depth int) {
 // are bound.
 func (a *atomState) matchRows() []int32 {
 	if a.csr != nil {
-		b := a.block
-		return b.rows[b.starts[a.pos]:b.starts[a.pos+1]]
+		return a.block.run(a.pos)
 	}
 	return a.path[len(a.path)-1].leafRows[a.pos]
+}
+
+// lvlRef names the level of an atom that binds a variable.
+type lvlRef struct {
+	atom  int
+	level int
+}
+
+// wcojVar is the driver's state for one variable: the atom levels that bind
+// it and, between CSR-backed levels, the ordinal translations that let a
+// probe skip the candidate's Value.
+type wcojVar struct {
+	refs []lvlRef
+	// mixed reports that some level is trie-backed: the loop then also
+	// reads the candidate's Value for the trie probes.
+	mixed bool
+	// null[i] is the ordinal of NULL in refs[i]'s dictionary; -1 when it has
+	// none or refs[i] is trie-backed.
+	null []int32
+	// trans[i*len(refs)+j] maps refs[i]'s dictionary ordinals to refs[j]'s,
+	// built the first time refs[i] iterates; nil where either is
+	// trie-backed.
+	trans [][]int32
+}
+
+// tablesFrom returns the translations out of refs[it]'s dictionary, indexed
+// by probed ref, building the missing ones.
+func (v *wcojVar) tablesFrom(it int, atoms []*atomState) [][]int32 {
+	n := len(v.refs)
+	row := v.trans[it*n : (it+1)*n]
+	from := atoms[v.refs[it].atom]
+	if from.csr == nil {
+		return row
+	}
+	for j, r := range v.refs {
+		if to := atoms[r.atom]; j != it && to.csr != nil && row[j] == nil {
+			row[j] = translate(from.dict(v.refs[it].level), to.dict(r.level))
+		}
+	}
+	return row
+}
+
+// translate maps every ordinal of from to the ordinal of the equal key in
+// to, or -1 when to has none. It resolves through to.Lookup, so it keeps the
+// equality of the Value probe (numerics across int and float, NaN equal to
+// nothing); a NULL key maps to -1, since a NULL binding matches nothing.
+func translate(from, to *relation.ColumnDict) []int32 {
+	t := make([]int32, len(from.Keys))
+	for o, k := range from.Keys {
+		t[o] = -1
+		if k.IsNull() {
+			continue
+		}
+		if ord, ok := to.Lookup(k); ok {
+			t[o] = ord
+		}
+	}
+	return t
+}
+
+// foldRuns is count mode's last level when every atom binding the variable
+// is CSR-backed, each at its depth-1 level: a candidate found in every bound
+// block adds the product of its runs' lengths there, and nothing is bound or
+// ascended. It returns that sum and counts the probes the generic loop
+// would have.
+func (v *wcojVar) foldRuns(atoms []*atomState, it int, best int32, tabs [][]int32, probes *int64) int64 {
+	ib, null := atoms[v.refs[it].atom].block, v.null[it]
+	var sum, n int64
+	for p := int32(0); p < best; p++ {
+		ord := ib.dsts[p]
+		if ord == null {
+			continue // every variable is an equi-join key
+		}
+		m := ib.runLen(p)
+		for j, r := range v.refs {
+			n++
+			if j == it {
+				continue
+			}
+			a := atoms[r.atom]
+			pos := a.findOrd(1, tabs[j][ord])
+			if pos < 0 {
+				m = 0
+				break
+			}
+			m *= a.block.runLen(pos)
+		}
+		sum += m
+	}
+	*probes += n
+	return sum
 }
 
 // WCOJ executes the generic-join multiway intersection and returns the
 // joined relation — schema and bag contents identical to the equivalent
 // binary join tree over the same atoms — plus the work counters; in count
 // mode the relation is nil and stats.Tuples is the answer. Both modes walk
-// the same search tree and charge the governor alike: one step per
-// candidate and one per joined tuple. The spec must be well-formed (every
-// variable bound by an atom, Order a permutation of the variables);
-// malformed specs panic, as they indicate a planner bug.
+// the same search tree and charge the governor alike: one row per candidate
+// (charged once before each level's loop) and one per joined tuple (once
+// per full binding when emitting, once per last-level loop when counting).
+// The spec must be well-formed (every variable bound by an atom, Order a
+// permutation of the variables); malformed specs panic, as they indicate a
+// planner bug.
 func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 	var stats WCOJStats
 	if len(spec.Atoms) == 0 {
@@ -420,20 +565,17 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 	out := relation.New(sch)
 
 	atoms := make([]*atomState, len(spec.Atoms))
-	// atomsAt[v] lists (atom, level) pairs whose level binds variable v; by
-	// ordering each atom's levels along the elimination order, every earlier
-	// level of the atom is already bound when the driver reaches v.
-	type lvlRef struct {
-		atom  int
-		level int
-	}
-	atomsAt := make([][]lvlRef, spec.NumVars)
+	// vars[v].refs lists the (atom, level) pairs whose level binds variable
+	// v; by ordering each atom's levels along the elimination order, every
+	// earlier level of the atom is already bound when the driver reaches v.
+	vars := make([]wcojVar, spec.NumVars)
 	for i, a := range spec.Atoms {
 		st := &atomState{rel: a.Rel, levels: levelsFor(a, pos)}
 		if usableCSR(a, st.levels) {
 			st.csr = a.CSR
-			st.blocks = make([]*csrBlock, a.CSR.NumSrc())
+			st.blocks = make([]csrBlock, a.CSR.NumSrc())
 			st.seen = make([]int32, len(a.CSR.Dst.Keys))
+			st.index = make([]uint64, len(a.CSR.Dst.Keys))
 		} else {
 			st.root = buildTrie(a.Rel, st.levels)
 			st.path = []*trieNode{st.root}
@@ -441,13 +583,22 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 		}
 		atoms[i] = st
 		for d, lv := range st.levels {
-			atomsAt[lv.vr] = append(atomsAt[lv.vr], lvlRef{atom: i, level: d})
+			vr := &vars[lv.vr]
+			vr.refs = append(vr.refs, lvlRef{atom: i, level: d})
+			null := int32(-1)
+			if st.csr == nil {
+				vr.mixed = true
+			} else if ord, ok := st.dict(d).Lookup(value.Null); ok {
+				null = ord
+			}
+			vr.null = append(vr.null, null)
 		}
 	}
-	for v := 0; v < spec.NumVars; v++ {
-		if len(atomsAt[v]) == 0 {
+	for v := range vars {
+		if len(vars[v].refs) == 0 {
 			panic(fmt.Sprintf("ra: WCOJ variable %d bound by no atom", v))
 		}
+		vars[v].trans = make([][]int32, len(vars[v].refs)*len(vars[v].refs))
 	}
 
 	arity := sch.Arity()
@@ -461,7 +612,6 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 	var emit func(atom int)
 	emit = func(atom int) {
 		if atom == len(atoms) {
-			spec.Gov.MustStep(1)
 			out.Tuples = append(out.Tuples, append(relation.Tuple(nil), scratch...))
 			return
 		}
@@ -473,45 +623,87 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 		}
 	}
 
-	var solve func(depth int)
-	solve = func(depth int) {
-		if depth == len(spec.Order) {
-			if !spec.Count {
-				emit(0)
-				return
+	// In count mode solve returns the number of joined tuples under its
+	// binding, and the last level charges them to the governor once per
+	// loop. A last level whose atoms are all CSR-backed folds their run
+	// lengths (foldRuns) times the match-list lengths of the atoms that do
+	// not bind the last variable (rest), which are fixed for the loop.
+	last := len(spec.Order) - 1
+	var rest []int
+	if spec.Count && last >= 0 {
+		binds := make([]bool, len(atoms))
+		for _, r := range vars[spec.Order[last]].refs {
+			binds[r.atom] = true
+		}
+		for i, b := range binds {
+			if !b {
+				rest = append(rest, i)
 			}
+		}
+	}
+
+	var solve func(depth int) int64
+	solve = func(depth int) int64 {
+		if depth == len(spec.Order) {
 			m := 1
 			for _, a := range atoms {
 				m *= len(a.matchRows())
 			}
+			if spec.Count {
+				return int64(m)
+			}
 			spec.Gov.MustStep(m)
-			stats.Tuples += int64(m)
-			return
+			emit(0)
+			return 0
 		}
-		v := spec.Order[depth]
-		refs := atomsAt[v]
+		lv := &vars[spec.Order[depth]]
+		refs := lv.refs
 		// Generic join: iterate the smallest candidate set, probe the rest.
-		it := refs[0]
-		best := atoms[it.atom].count(it.level)
-		for _, r := range refs[1:] {
+		it := 0
+		best := atoms[refs[0].atom].count(refs[0].level)
+		for i, r := range refs[1:] {
 			if c := atoms[r.atom].count(r.level); c < best {
-				best, it = c, r
+				best, it = c, i+1
 			}
 		}
+		spec.Gov.MustStep(best)
+		tabs := lv.tablesFrom(it, atoms)
+		fold := spec.Count && depth == last
+		if fold && !lv.mixed {
+			sum := lv.foldRuns(atoms, it, int32(best), tabs, &stats.Probes)
+			for _, k := range rest {
+				sum *= int64(len(atoms[k].matchRows()))
+			}
+			spec.Gov.MustStep(int(sum))
+			return sum
+		}
+		ia, il, null := atoms[refs[it].atom], refs[it].level, lv.null[it]
+		var sum int64
 		for p := int32(0); p < int32(best); p++ {
-			spec.Gov.MustStep(1)
-			cand := atoms[it.atom].key(it.level, p)
-			if cand.IsNull() {
-				continue // every variable is an equi-join key
+			var ord int32
+			var cand value.Value
+			if ia.csr != nil {
+				if ord = ia.ord(il, p); ord == null {
+					continue // every variable is an equi-join key
+				}
+			}
+			if lv.mixed {
+				if cand = ia.key(il, p); cand.IsNull() {
+					continue
+				}
 			}
 			bound := 0
-			for _, r := range refs {
+			for j, r := range refs {
 				stats.Probes++
 				a := atoms[r.atom]
-				// The iterating atom offers cand at p by construction.
+				// The iterating atom offers the candidate at p by construction.
 				pos := p
-				if r != it {
-					pos = a.find(r.level, cand)
+				if j != it {
+					if t := tabs[j]; t != nil {
+						pos = a.findOrd(r.level, t[ord])
+					} else {
+						pos = a.find(r.level, cand)
+					}
 				}
 				if pos < 0 || !a.bind(r.level, pos) {
 					break
@@ -519,17 +711,22 @@ func WCOJ(spec WCOJSpec) (*relation.Relation, WCOJStats) {
 				bound++
 			}
 			if bound == len(refs) {
-				solve(depth + 1)
+				sum += solve(depth + 1)
 			}
 			for k := 0; k < bound; k++ {
 				atoms[refs[k].atom].ascend(refs[k].level)
 			}
 		}
+		if fold {
+			spec.Gov.MustStep(int(sum))
+		}
+		return sum
 	}
-	solve(0)
 	if spec.Count {
+		stats.Tuples = solve(0)
 		return nil, stats
 	}
+	solve(0)
 	stats.Tuples = int64(out.Len())
 	return out, stats
 }

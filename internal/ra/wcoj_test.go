@@ -2,7 +2,10 @@ package ra
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/govern"
@@ -229,6 +232,160 @@ func TestWCOJCountModeMatchesEmission(t *testing.T) {
 			}
 			if count.Probes != emit.Probes || count.Builds != emit.Builds || countRows != emitRows {
 				t.Fatalf("seed %d csr=%v: count mode %+v rows %d, emission %+v rows %d", seed, csr, count, countRows, emit, emitRows)
+			}
+		}
+	}
+}
+
+// wcojShape is a cyclic join pattern over edge atoms: atom i binds variable
+// vars[i][0] on column F and vars[i][1] on column T.
+type wcojShape struct {
+	name    string
+	numVars int
+	order   []int
+	vars    [][2]int
+}
+
+var wcojShapes = []wcojShape{
+	{"triangle", 3, []int{0, 1, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}}},
+	{"triangle_order210", 3, []int{2, 1, 0}, [][2]int{{0, 1}, {1, 2}, {2, 0}}},
+	{"diamond", 4, []int{0, 1, 2, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}},
+	{"clique4", 4, []int{0, 1, 2, 3}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}},
+}
+
+// wcojKeyPools are the endpoint values the differential draws from: a
+// dense pool (small non-negative integers, one spelled as a float) and a
+// sparse one that forces the dictionaries' bucket lookups — strings, NULL,
+// NaN, negative and huge ids, and 1 and -3 spelled both as Int and Float.
+var wcojKeyPools = map[string][]value.Value{
+	"dense": {value.Int(0), value.Int(1), value.Int(2), value.Int(3), value.Int(4), value.Int(5), value.Int(6), value.Float(2)},
+	"sparse": {value.Int(1), value.Float(1), value.Int(-3), value.Float(-3), value.Str("x"), value.Str("y"),
+		value.Null, value.Float(math.NaN()), value.Int(1 << 40), value.Float(2.5)},
+}
+
+// renderExact spells every value of a relation, in row order, with its kind
+// and exact bits, so two renderings are equal only when the relations are
+// byte-identical, emission order included.
+func renderExact(r *relation.Relation) string {
+	var b []byte
+	for _, tu := range r.Tuples {
+		for _, v := range tu {
+			b = strconv.AppendInt(append(b, byte(v.K)), v.I, 36)
+			b = strconv.AppendUint(append(b, ':'), math.Float64bits(v.F), 36)
+			b = strconv.AppendQuote(append(b, ':'), v.S)
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
+}
+
+// wcojRun is one execution's observable outcome.
+type wcojRun struct {
+	out   string
+	stats WCOJStats
+	rows  int64 // governor rows charged
+}
+
+// runShape executes the shape over the atoms' edge lists. csrMask selects
+// the CSR-backed atoms (the typed probe); the rest build tries (the Value
+// probe). With tail, each CSR is built over the first half of its rows and
+// Extend encodes the rest into tail chains.
+func runShape(t *testing.T, sh wcojShape, edges [][][2]value.Value, csrMask int, tail, count bool) wcojRun {
+	t.Helper()
+	pos := make([]int, sh.numVars)
+	for i, v := range sh.order {
+		pos[v] = i
+	}
+	spec := WCOJSpec{NumVars: sh.numVars, Order: sh.order, Count: count,
+		Gov: govern.New(context.Background(), govern.Limits{})}
+	for i, vs := range sh.vars {
+		rel := relation.New(schema.Cols(value.KindInt, "F", "T").Qualify(fmt.Sprintf("E%d", i)))
+		atom := WCOJAtom{Rel: rel, VarCols: []WCOJVarCol{{Var: vs[0], Col: 0}, {Var: vs[1], Col: 1}}}
+		split := len(edges[i])
+		if csrMask&(1<<i) != 0 && tail {
+			split /= 2
+		}
+		for _, e := range edges[i][:split] {
+			rel.AppendVals(e[0], e[1])
+		}
+		if csrMask&(1<<i) != 0 {
+			// The CSR's source column is the atom's earlier variable.
+			src, dst := 0, 1
+			if pos[vs[1]] < pos[vs[0]] {
+				src, dst = 1, 0
+			}
+			atom.CSR = relation.BuildCSR(rel, src, dst, -1)
+		}
+		for _, e := range edges[i][split:] {
+			rel.AppendVals(e[0], e[1])
+		}
+		if atom.CSR != nil {
+			atom.CSR.Extend(rel)
+		}
+		spec.Atoms = append(spec.Atoms, atom)
+	}
+	out, stats := WCOJ(spec)
+	r := wcojRun{stats: stats, rows: spec.Gov.Rows()}
+	if out != nil {
+		r.out = renderExact(out)
+	}
+	return r
+}
+
+// TestWCOJTypedProbeMatchesValueProbe is the differential between the two
+// probes: CSR-backed atoms intersect on dictionary ordinals, trie-backed
+// atoms on Values. For every subset of CSR-backed atoms, with and without
+// tail chains, over dense and sparse keys with duplicate edges, emission
+// must match the all-trie run byte for byte (order included) with the same
+// probes and the same governor rows, and count mode must answer its length
+// with the same probes and rows.
+func TestWCOJTypedProbeMatchesValueProbe(t *testing.T) {
+	for _, sh := range wcojShapes {
+		for pool, keys := range wcojKeyPools {
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				gen := func() [][2]value.Value {
+					var es [][2]value.Value
+					for i := 0; i < 20; i++ {
+						e := [2]value.Value{keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]}
+						es = append(es, e)
+						if rng.Intn(4) == 0 {
+							es = append(es, e) // a duplicate edge
+						}
+					}
+					return es
+				}
+				// Even seeds self-join one edge list, as the SQL corpus does.
+				edges := make([][][2]value.Value, len(sh.vars))
+				for i := range edges {
+					if i == 0 || seed%2 == 1 {
+						edges[i] = gen()
+					} else {
+						edges[i] = edges[0]
+					}
+				}
+				ref := runShape(t, sh, edges, 0, false, false)
+				all := 1<<len(sh.vars) - 1
+				for mask := 0; mask <= all; mask++ {
+					for _, tail := range []bool{false, true} {
+						name := fmt.Sprintf("%s/%s/seed%d/csr%b/tail=%v", sh.name, pool, seed, mask, tail)
+						got := runShape(t, sh, edges, mask, tail, false)
+						if got.out != ref.out {
+							t.Fatalf("%s: emission differs from the Value probe (%d vs %d tuples)", name, got.stats.Tuples, ref.stats.Tuples)
+						}
+						tries := int64(len(sh.vars))
+						for m := mask; m != 0; m &= m - 1 {
+							tries--
+						}
+						if got.stats.Probes != ref.stats.Probes || got.stats.Builds != tries || got.rows != ref.rows {
+							t.Fatalf("%s: stats %+v rows %d, Value probe %+v rows %d, want %d builds", name, got.stats, got.rows, ref.stats, ref.rows, tries)
+						}
+						cnt := runShape(t, sh, edges, mask, tail, true)
+						if cnt.stats.Tuples != ref.stats.Tuples || cnt.stats.Probes != ref.stats.Probes || cnt.rows != ref.rows {
+							t.Fatalf("%s: count mode %+v rows %d, emission %+v rows %d", name, cnt.stats, cnt.rows, ref.stats, ref.rows)
+						}
+					}
+				}
 			}
 		}
 	}

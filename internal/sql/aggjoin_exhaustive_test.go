@@ -21,7 +21,7 @@ var (
 )
 
 func aggJoinUniverse() pushdownUniverse {
-	return pushdownUniverse{tableRows(intDom, joinOperandDom), tableRows(intDom, groupDom, buildWeightDom), schBW}
+	return pushdownUniverse{tableRows(intDom, joinOperandDom), tableRows(intDom, groupDom, buildWeightDom), schA, schBW}
 }
 
 // sqlArith is SQL's + or * on two values: NULL when either is, an integer

@@ -31,24 +31,24 @@ var (
 	pinLits  = []value.Value{value.Int(0), value.Int(1), value.Null}
 )
 
-// pushdownDB is one database of a check: the rows of A and of B, which has
-// schema schB.
+// pushdownDB is one database of a check: the rows of A(schA) and of
+// B(schB).
 type pushdownDB struct {
-	A, B []relation.Tuple
-	schB schema.Schema
+	A, B       []relation.Tuple
+	schA, schB schema.Schema
 }
 
 // pushdownUniverse is the bounded set of databases a check enumerates:
-// every bag of at most -pushdown.rows rows of rowsA for A and of rowsB for
-// B(schB).
+// every bag of at most -pushdown.rows rows of rowsA for A(schA) and of rowsB
+// for B(schB).
 type pushdownUniverse struct {
 	rowsA, rowsB []relation.Tuple
-	schB         schema.Schema
+	schA, schB   schema.Schema
 }
 
 // pinUniverse is the pushdown templates' universe.
 func pinUniverse() pushdownUniverse {
-	return pushdownUniverse{tableRows(intDom, floatDom), tableRows(intDom, intDom), schB}
+	return pushdownUniverse{tableRows(intDom, floatDom), tableRows(intDom, intDom), schA, schB}
 }
 
 // sqlEq is SQL's = under three-valued logic, UNKNOWN read as false: NULL
@@ -333,7 +333,7 @@ func loadPushdownDB(t *testing.T, cfg pushdownConfig, db pushdownDB) *engine.Eng
 		name string
 		sch  schema.Schema
 		rows []relation.Tuple
-	}{{"A", schA, db.A}, {"B", db.schB, db.B}} {
+	}{{"A", db.schA, db.A}, {"B", db.schB, db.B}} {
 		rel := relation.New(tab.sch)
 		rel.Tuples = tab.rows
 		if cfg.analyzed {
@@ -393,7 +393,7 @@ func checkPushdown(t *testing.T, u pushdownUniverse, cases []pushdownCase, confi
 	t.Helper()
 	for _, a := range bags(u.rowsA, *pushdownRows) {
 		for _, b := range bags(u.rowsB, *pushdownRows) {
-			db := pushdownDB{A: a, B: b, schB: u.schB}
+			db := pushdownDB{A: a, B: b, schA: u.schA, schB: u.schB}
 			for _, cfg := range configs {
 				e := loadPushdownDB(t, cfg, db)
 				for _, c := range cases {

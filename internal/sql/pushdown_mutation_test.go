@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -29,6 +30,17 @@ const (
 	// MutateFoldProbeKey: the agg-join groups by the join key — the probe
 	// row's key — instead of the build side's other endpoint.
 	MutateFoldProbeKey = "agg-join groups by the probe key"
+	// MutateTranslateNull: the multiway join's typed probe translates a
+	// NULL ordinal to a live one. Every CSR a multiway node reads has its
+	// NULL dictionary keys respelled as 0, so the ordinal translations,
+	// built through Lookup, map the NULL ordinal to 0's, and the
+	// NULL-candidate skip no longer finds it.
+	MutateTranslateNull = "wcoj translation maps a NULL ordinal to a live one"
+	// MutateFoldDropDuplicate: the multiway count fold drops a duplicate
+	// edge's multiplicity. Every CSR a multiway node reads keeps only the
+	// first of each source's parallel edges, so the fold multiplies a run of
+	// one row where a target repeats.
+	MutateFoldDropDuplicate = "wcoj count fold drops a duplicate edge's multiplicity"
 )
 
 // RunMutated runs s under one of the mutations above. A run the mutation
@@ -43,7 +55,13 @@ func RunMutated(x *Exec, s *SelectStmt, mutation string) (out *relation.Relation
 	if err != nil {
 		return nil, err
 	}
-	if !mutate(p, mutation) {
+	broken := false
+	if mutation == MutateTranslateNull || mutation == MutateFoldDropDuplicate {
+		broken = x.mutateCSRs(p, mutation)
+	} else {
+		broken = mutate(p, mutation)
+	}
+	if !broken {
 		return nil, fmt.Errorf("mutation %q found nothing to break", mutation)
 	}
 	out, _, err = x.execute(p, false)
@@ -83,4 +101,60 @@ func mutate(n *planNode, mutation string) bool {
 		}
 	}
 	return false
+}
+
+// mutateCSRs breaks, in place, the cached CSRs the multiway nodes under n
+// read as their atoms' sorted backing, reporting whether there was one.
+func (x *Exec) mutateCSRs(n *planNode, mutation string) bool {
+	broken := false
+	if n.op == opMultiway {
+		for k, ap := range n.join.wcoj.Atoms {
+			if !ap.CSR {
+				continue
+			}
+			sc, dc, _ := ap.csrShape()
+			c, _ := x.Eng.OpenBuildSide(n.kids[k].ref.Name, engine.CachedCSR, []int{sc}, dc)
+			if c == nil {
+				continue
+			}
+			broken = true
+			if mutation == MutateTranslateNull {
+				respellNull(c.Src)
+				respellNull(c.Dst)
+			} else {
+				dropParallelEdges(c)
+			}
+		}
+	}
+	for _, k := range n.kids {
+		broken = x.mutateCSRs(k, mutation) || broken
+	}
+	return broken
+}
+
+// respellNull rewrites the dictionary's NULL key as 0.
+func respellNull(d *relation.ColumnDict) {
+	for i, k := range d.Keys {
+		if k.IsNull() {
+			d.Keys[i] = value.Int(0)
+		}
+	}
+}
+
+// dropParallelEdges keeps the first edge of every (source, target) pair in
+// the CSR's main blocks.
+func dropParallelEdges(c *relation.CSR) {
+	offsets := []int32{0}
+	var rows, targets []int32
+	for s := 0; s+1 < len(c.Offsets); s++ {
+		seen := map[int32]bool{}
+		for e := c.Offsets[s]; e < c.Offsets[s+1]; e++ {
+			if !seen[c.Targets[e]] {
+				seen[c.Targets[e]] = true
+				rows, targets = append(rows, c.Rows[e]), append(targets, c.Targets[e])
+			}
+		}
+		offsets = append(offsets, int32(len(rows)))
+	}
+	c.Offsets, c.Rows, c.Targets = offsets, rows, targets
 }

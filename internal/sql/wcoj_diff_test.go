@@ -260,9 +260,11 @@ func TestWCOJCountFold(t *testing.T) {
 }
 
 // TestWCOJCountFoldBudget: the folded count charges the governor what the
-// emitting core charged (a step per candidate and per joined tuple), so a
-// row budget below the triangle count fails it with the same resource, and
-// an unlimited run charges exactly as many rows as the emitting core did.
+// emitting core charged (a row per candidate and per joined tuple, charged
+// in batches: once per level loop), so a row budget below the triangle
+// count fails it with the same resource, an unlimited run charges exactly
+// as many rows as the emitting core did, and a budget of exactly that many
+// rows passes both while one row less fails both.
 func TestWCOJCountFoldBudget(t *testing.T) {
 	e := graphDB(t, engine.OracleLike(), 40, 160, 11)
 	x := NewExec(e)
@@ -293,10 +295,15 @@ func TestWCOJCountFoldBudget(t *testing.T) {
 		t.Fatalf("triangle count %d too small to budget below", count)
 	}
 	for _, q := range []string{folded, emitting} {
-		_, _, err := run(q, count/2)
-		var be *govern.BudgetError
-		if !errors.As(err, &be) || be.Resource != "rows" {
-			t.Fatalf("%s under MaxRows=%d: want a rows BudgetError, got %v", q, count/2, err)
+		for _, limit := range []int64{count / 2, foldedRows - 1} {
+			_, _, err := run(q, limit)
+			var be *govern.BudgetError
+			if !errors.As(err, &be) || be.Resource != "rows" {
+				t.Fatalf("%s under MaxRows=%d: want a rows BudgetError, got %v", q, limit, err)
+			}
+		}
+		if n, _, err := run(q, foldedRows); err != nil || n != count {
+			t.Fatalf("%s under MaxRows=%d: got %d, %v; want %d", q, foldedRows, n, err, count)
 		}
 	}
 }

@@ -55,10 +55,15 @@ go test ./internal/sql -run 'PushdownExhaustive' -count=1 -args -pushdown.rows=3
 bash benchmark/run.sh -workload point -seconds 6 > /dev/null
 bash benchmark/run.sh -workload traverse -seconds 6 > /dev/null
 
-echo "== wcoj smoke (multiway vs binary differentials + chooser + operator)"
+echo "== wcoj smoke (multiway vs binary differentials, typed vs Value probe, count fold vs brute force, chooser + operator)"
+# WCOJ includes the typed-probe differential: CSR-backed atoms (ordinal
+# probes) against tries (Value probes), byte for byte, also under -race.
 go test ./internal/ra -run 'WCOJ' -count=1
+go test -race ./internal/ra -run 'WCOJ' -count=1
 go test ./internal/relation -run 'ColumnDictDense' -count=1
 go test ./internal/sql -run 'WCOJDifferential|WCOJExplainAnalyze|WCOJCountFold|ChooseWCOJ' -count=1
+# The count-fold template at the CI bound, with its two planted mutations.
+go test ./internal/sql -run 'WCOJCountFoldExhaustive' -count=1 -args -pushdown.rows=3
 go test ./internal/sql -run=NONE -fuzz FuzzWCOJVsBinary -fuzztime 5s
 
 echo "== fused smoke (float lane vs boxed lane, streamed union-by-update vs reference)"
