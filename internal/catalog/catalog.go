@@ -81,7 +81,7 @@ type Table struct {
 	indexes     map[string]*relation.SortedIndex
 	hashIndexes map[string]hashIndexEntry
 	dicts       map[int]dictEntry
-	csrs        map[string]csrEntry
+	csrs        map[csrKey]csrEntry
 	cache       *relation.Relation // materialization cache: carried forward by appends, dropped by destructive writes
 }
 
@@ -745,13 +745,33 @@ func (t *Table) ColumnDict(col int) *relation.ColumnDict {
 }
 
 // csrKey identifies a CSR by its column triple; dstCol and wCol may be -1.
-func csrKey(srcCol, dstCol, wCol int) string {
-	return fmt.Sprintf("%d,%d,%d", srcCol, dstCol, wCol)
+type csrKey struct{ src, dst, w int }
+
+// findCSR looks up the cached CSR that serves a column triple among the
+// entries usable reports current: the exact triple, or — for a request
+// without a weight column — one over the same (src, dst) with any weight
+// column, which encodes everything the request reads (the lowest weight
+// column wins, so the choice does not depend on map order).
+func findCSR[E any](m map[csrKey]E, k csrKey, usable func(E) bool) (E, bool) {
+	if e, ok := m[k]; ok && usable(e) {
+		return e, true
+	}
+	var best E
+	found, bestW := false, 0
+	if k.w < 0 {
+		for mk, e := range m {
+			if mk.src == k.src && mk.dst == k.dst && (!found || mk.w < bestW) && usable(e) {
+				best, found, bestW = e, true, mk.w
+			}
+		}
+	}
+	return best, found
 }
 
 // EnsureCSR returns a CSR adjacency index grouping rows by srcCol (dstCol
 // and wCol optionally dict-encode the target and weight columns; pass -1 to
-// skip), building it only when none is cached for the current table version.
+// skip), building it only when none is cached for the current table version
+// (findCSR: a request without a weight column is also served by one with).
 // hit reports whether the cache served the request — the counter feed for
 // the engine's CSRBuilds/CSRCacheHits statistics. Like the hash-index cache,
 // an immutable edge table inside an iterative algorithm builds its CSR once
@@ -764,9 +784,11 @@ func (t *Table) EnsureCSR(srcCol, dstCol, wCol int) (csr *relation.CSR, hit bool
 }
 
 func (t *Table) ensureCSRLocked(srcCol, dstCol, wCol int, ver uint64) (*relation.CSR, bool, error) {
-	key := csrKey(srcCol, dstCol, wCol)
-	if e, ok := t.csrs[key]; ok && e.version == ver && t.version == ver {
-		return e.csr, true, nil
+	key := csrKey{srcCol, dstCol, wCol}
+	if t.version == ver {
+		if e, ok := findCSR(t.csrs, key, t.current); ok {
+			return e.csr, true, nil
+		}
 	}
 	r, err := t.materializeLocked()
 	if err != nil {
@@ -774,20 +796,24 @@ func (t *Table) ensureCSRLocked(srcCol, dstCol, wCol int, ver uint64) (*relation
 	}
 	built := relation.BuildCSR(r, srcCol, dstCol, wCol)
 	if t.csrs == nil {
-		t.csrs = make(map[string]csrEntry)
+		t.csrs = make(map[csrKey]csrEntry)
 	}
 	t.csrs[key] = csrEntry{csr: built, version: t.version}
 	return built, false, nil
 }
 
-// CSR returns a previously built CSR on the column triple valid for the
-// current table version, or nil. The engine's kernel chooser peeks with it:
-// a cached CSR makes the access path free even when the table would not
-// justify a fresh build.
+// current reports whether a cached CSR entry is valid for the table's
+// current version.
+func (t *Table) current(e csrEntry) bool { return e.version == t.version }
+
+// CSR returns a previously built CSR serving the column triple (findCSR)
+// valid for the current table version, or nil. The engine's kernel chooser
+// peeks with it: a cached CSR makes the access path free even when the
+// table would not justify a fresh build.
 func (t *Table) CSR(srcCol, dstCol, wCol int) *relation.CSR {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.csrs[csrKey(srcCol, dstCol, wCol)]; ok && e.version == t.version {
+	if e, ok := findCSR(t.csrs, csrKey{srcCol, dstCol, wCol}, t.current); ok {
 		return e.csr
 	}
 	return nil

@@ -36,7 +36,7 @@ type View struct {
 	hash   map[string]*relation.HashIndex
 	sorted map[string]*relation.SortedIndex
 	dicts  map[int]*relation.ColumnDict
-	csrs   map[string]*relation.CSR
+	csrs   map[csrKey]*relation.CSR
 }
 
 // NewView captures a read view of the table at its current version.
@@ -140,13 +140,13 @@ func (v *View) EnsureCSR(srcCol, dstCol, wCol int) (*relation.CSR, bool, error) 
 	t.mu.Unlock()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	key := csrKey(srcCol, dstCol, wCol)
-	if c, ok := v.csrs[key]; ok {
+	key := csrKey{srcCol, dstCol, wCol}
+	if c, ok := findCSR(v.csrs, key, anyCSR); ok {
 		return c, true, nil
 	}
 	c := relation.BuildCSR(v.Rel, srcCol, dstCol, wCol)
 	if v.csrs == nil {
-		v.csrs = make(map[string]*relation.CSR)
+		v.csrs = make(map[csrKey]*relation.CSR)
 	}
 	v.csrs[key] = c
 	return c, false, nil
@@ -160,7 +160,7 @@ func (v *View) CSR(srcCol, dstCol, wCol int) *relation.CSR {
 	t := v.tab
 	t.mu.Lock()
 	if t.version == v.ver {
-		if e, ok := t.csrs[csrKey(srcCol, dstCol, wCol)]; ok && e.version == v.ver {
+		if e, ok := findCSR(t.csrs, csrKey{srcCol, dstCol, wCol}, t.current); ok {
 			t.mu.Unlock()
 			return e.csr
 		}
@@ -170,8 +170,13 @@ func (v *View) CSR(srcCol, dstCol, wCol int) *relation.CSR {
 	t.mu.Unlock()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.csrs[csrKey(srcCol, dstCol, wCol)]
+	c, _ := findCSR(v.csrs, csrKey{srcCol, dstCol, wCol}, anyCSR)
+	return c
 }
+
+// anyCSR accepts every view-private CSR: they are all built at the view's
+// version.
+func anyCSR(*relation.CSR) bool { return true }
 
 // Snapshot is the per-statement catalog snapshot a session engine arms at
 // statement start: the first read of each shared table pins a View at the

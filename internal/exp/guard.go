@@ -16,7 +16,10 @@ import (
 // read sneaking onto the per-tuple path, a kernel that stopped being chosen),
 // not single-digit drift.
 const (
-	// perfRegressionX bounds an unobserved perf cell by its baseline time.
+	// perfRegressionX bounds an unobserved perf cell's time relative to the
+	// baseline's, each side normalized by the same run's reference
+	// (perfSpeed): a cell may not slow down this much more than the run's
+	// cells do as a whole.
 	perfRegressionX = 1.75
 	// observerOverheadX bounds an observed perf cell by the unobserved one of
 	// the same process, the two measured in alternating repetitions:
@@ -142,16 +145,17 @@ func (x *Experiment) Check(runRecs, baseRecs []Record) (bad, notes []string) {
 	return bad, notes
 }
 
-// perfTimings is perf's Extra: no regression against the baseline's wall
-// time, and the observer A/B.
+// perfTimings is perf's Extra: no cell regressed against the baseline by
+// more than the run as a whole, and the observer A/B.
 func perfTimings(run, base map[string]Record) (bad, notes []string) {
 	fail := func(format string, a ...any) { bad = append(bad, fmt.Sprintf(format, a...)) }
+	speed := perfSpeed(run, base)
 	for k, r := range run {
 		if r.Observed {
 			continue
 		}
-		if b, ok := base[k]; ok && r.Millis > b.Millis*perfRegressionX {
-			fail("%s: %.1fms exceeds baseline %.1fms x %.2f", k, r.Millis, b.Millis, perfRegressionX)
+		if b, ok := base[k]; ok && speed > 0 && r.Millis/b.Millis > speed*perfRegressionX {
+			fail("%s: %.1fms is %.2fx baseline %.1fms, over the run's %.2fx x %.2f", k, r.Millis, r.Millis/b.Millis, b.Millis, speed, perfRegressionX)
 		}
 		o, ok := run[k+" (observed)"]
 		switch {
@@ -163,7 +167,29 @@ func perfTimings(run, base map[string]Record) (bad, notes []string) {
 			fail("%s: observer-on %.1fms exceeds observer-off %.1fms x %.2f", k, o.Millis, r.Millis, observerOverheadX)
 		}
 	}
-	return bad, nil
+	if speed > 0 {
+		notes = append(notes, fmt.Sprintf("run/baseline %.2fx", speed))
+	}
+	return bad, notes
+}
+
+// perfSpeed is the reference the perf rule normalizes by, measured in the
+// same guard run: the median over the unobserved cells of the cell's time
+// divided by its baseline time. A machine that runs everything k× slower
+// moves it to k and moves no cell relative to it, while one cell that
+// regresses stands out against the others. 0 when no cell has a baseline.
+func perfSpeed(run, base map[string]Record) float64 {
+	var ratios []float64
+	for k, r := range run {
+		if b, ok := base[k]; ok && !r.Observed && b.Millis > 0 {
+			ratios = append(ratios, r.Millis/b.Millis)
+		}
+	}
+	if len(ratios) == 0 {
+		return 0
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2]
 }
 
 // sessionScaling is concurrent's Extra: aggregate statements/sec from 1 to 8

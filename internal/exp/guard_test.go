@@ -46,6 +46,24 @@ func cleanPerf() []Record {
 	return []Record{perfRec("oracle", false, 70), perfRec("oracle", true, 75)}
 }
 
+// perfCells is a perf baseline of three cells, each with its observed twin.
+func perfCells() []Record {
+	var recs []Record
+	for i, p := range []string{"oracle", "db2", "postgres"} {
+		ms := 70 + 30*float64(i)
+		recs = append(recs, perfRec(p, false, ms), perfRec(p, true, ms))
+	}
+	return recs
+}
+
+// scalePerf multiplies every perf time by k.
+func scalePerf(recs []Record, k float64) []Record {
+	for i := range recs {
+		recs[i].Millis *= k
+	}
+	return recs
+}
+
 func concRec(sessions int, perSec float64) Record {
 	return Record{Exp: "concurrent", Name: fmt.Sprintf("%d-sessions", sessions), Profile: "oracle", Sessions: sessions,
 		Statements: 120 * sessions, PerSec: perSec, Checksum: "1cadccaeff2eb119"}
@@ -101,9 +119,15 @@ func TestGateRules(t *testing.T) {
 		{name: "observer overhead", x: perfExp, base: cleanPerf(),
 			edit: func(r []Record) []Record { r[1].Millis = 100; return r },
 			want: []string{"perf PR/oracle", "observer-on 100.0ms exceeds observer-off 70.0ms x 1.40"}},
-		{name: "regression against the baseline time", x: perfExp, base: cleanPerf(),
-			edit: func(r []Record) []Record { r[0].Millis, r[1].Millis = 130, 130; return r },
-			want: []string{"perf PR/oracle", "130.0ms exceeds baseline 70.0ms x 1.75"}},
+		{name: "a slower machine slows every cell alike", x: perfExp, base: perfCells(),
+			edit: func(r []Record) []Record { return scalePerf(r, 2.5) }},
+		{name: "one cell regresses against the run", x: perfExp, base: perfCells(),
+			edit: func(r []Record) []Record {
+				r = scalePerf(r, 1.3)
+				r[2].Millis, r[3].Millis = 2*r[2].Millis, 2*r[3].Millis
+				return r
+			},
+			want: []string{"perf PR/db2", "260.0ms is 2.60x baseline 100.0ms, over the run's 1.30x x 1.75"}},
 		{name: "1->8 scaling under 3x", x: concurrentExp, base: cleanConcurrent(),
 			edit: func(r []Record) []Record { r[3].PerSec = 700; return r },
 			want: []string{"1->8 sessions 2.80x", "under 3.00x"}},

@@ -27,16 +27,33 @@ func TestTupleSetDiffAdd(t *testing.T) {
 	}
 	// One old row, one new row appearing twice: the delta is the new row
 	// once (Difference-after-Distinct semantics).
-	d := s.DiffAdd(pairRel([2]int64{2, 2}, [2]int64{3, 3}, [2]int64{3, 3}))
+	d, old := s.DiffAdd(pairRel([2]int64{2, 2}, [2]int64{3, 3}, [2]int64{3, 3}))
 	if d.Len() != 1 || d.Tuples[0][0].AsInt() != 3 {
 		t.Fatalf("DiffAdd delta = %v, want just (3,3)", d.Tuples)
+	}
+	if !old {
+		t.Error("(2,2) was in the set before the call: old must be true")
 	}
 	if s.Len() != 3 {
 		t.Fatalf("set should have absorbed the delta: len = %d, want 3", s.Len())
 	}
 	// A second pass with the same rows is empty: the set persists.
-	if d2 := s.DiffAdd(pairRel([2]int64{3, 3})); d2.Len() != 0 {
+	if d2, _ := s.DiffAdd(pairRel([2]int64{3, 3})); d2.Len() != 0 {
 		t.Fatalf("re-adding known rows produced %d rows", d2.Len())
+	}
+}
+
+// TestTupleSetDiffAddOldIsNotDuplicate: a batch that repeats a new row and
+// re-derives nothing already in the set reports no re-derivation — an
+// in-batch duplicate is not a cycle.
+func TestTupleSetDiffAddOldIsNotDuplicate(t *testing.T) {
+	s := NewTupleSet(pairRel([2]int64{1, 1}))
+	d, old := s.DiffAdd(pairRel([2]int64{4, 4}, [2]int64{5, 5}, [2]int64{4, 4}))
+	if d.Len() != 2 || old {
+		t.Fatalf("DiffAdd = %v, old %v; want (4,4), (5,5) and old false", d.Tuples, old)
+	}
+	if _, old := s.DiffAdd(pairRel([2]int64{6, 6}, [2]int64{5, 5})); !old {
+		t.Error("(5,5) was added by the previous call: old must be true")
 	}
 }
 
@@ -49,7 +66,7 @@ func TestTupleSetArityMismatch(t *testing.T) {
 	narrow.AppendVals(value.Int(9))
 	// Mismatched arity degrades to a plain Difference without touching
 	// (or crashing) the set.
-	if d := s.DiffAdd(narrow); d.Len() != 1 {
+	if d, _ := s.DiffAdd(narrow); d.Len() != 1 {
 		t.Fatalf("mismatched DiffAdd returned %d rows, want 1", d.Len())
 	}
 	if s.Len() != 1 {
@@ -86,7 +103,7 @@ func BenchmarkSeededDiff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewTupleSet(deltas[0])
 		for _, d := range deltas[1:] {
-			if out := s.DiffAdd(d); out.Len() != diffBenchDelta {
+			if out, _ := s.DiffAdd(d); out.Len() != diffBenchDelta {
 				b.Fatalf("delta len = %d", out.Len())
 			}
 		}
@@ -123,7 +140,7 @@ func TestSeededDiffMatchesFullDiff(t *testing.T) {
 			probe.Append(old.Clone())
 		}
 		want := Difference(probe, acc)
-		got := s.DiffAdd(probe)
+		got, _ := s.DiffAdd(probe)
 		if fmt.Sprint(multisetInts(got)) != fmt.Sprint(multisetInts(want)) {
 			t.Fatalf("round %d: seeded %v != full %v", round, got.Tuples, want.Tuples)
 		}

@@ -43,13 +43,48 @@ func BuildHashIndex(rel *Relation, cols []int) *HashIndex {
 	idx := &HashIndex{
 		rel:     rel,
 		cols:    cols,
-		buckets: make(map[uint64][]bucketEntry, rel.Len()),
+		buckets: make(map[uint64][]bucketEntry, distinctHint(rel, cols)),
 	}
 	for i, t := range rel.Tuples {
 		h := t.HashOn(cols)
 		idx.buckets[h] = append(idx.buckets[h], idx.entryFor(i))
 	}
 	return idx
+}
+
+// hintSample is how many leading rows distinctHint inspects.
+const hintSample = 256
+
+// distinctHint sizes a bucket map for the distinct keys of rel on cols. When
+// the first hintSample rows all carry distinct keys the column is taken as
+// unique and the hint is the row count, one entry per row; otherwise it is
+// the number of distinct keys among those rows, and the map grows from
+// there. A row-count hint alone reserves ~29x what an edge table's source
+// column holds (29 000 rows over 1 000 keys).
+func distinctHint(rel *Relation, cols []int) int {
+	n := min(rel.Len(), hintSample)
+	// Open addressing over the key hashes, stored +1 so that 0 marks an
+	// empty slot; equal hashes count once, which only lowers the hint.
+	var seen [2 * hintSample]uint64
+	distinct := 0
+	for _, t := range rel.Tuples[:n] {
+		h := t.HashOn(cols) + 1
+		for i := h; ; i++ {
+			slot := &seen[i%uint64(len(seen))]
+			if *slot == h {
+				break
+			}
+			if *slot == 0 {
+				*slot = h
+				distinct++
+				break
+			}
+		}
+	}
+	if distinct == n {
+		return rel.Len()
+	}
+	return distinct
 }
 
 // Cols returns the indexed key columns.
@@ -149,7 +184,7 @@ func BuildColumnDict(rel *Relation, col int) *ColumnDict {
 	d := &ColumnDict{
 		Col:     col,
 		Ords:    make([]int32, 0, rel.Len()),
-		buckets: make(map[uint64][]int32, rel.Len()),
+		buckets: make(map[uint64][]int32, distinctHint(rel, []int{col})),
 	}
 	d.Extend(rel)
 	return d

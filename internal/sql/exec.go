@@ -25,6 +25,12 @@ type Exec struct {
 	// resolution — only the scan label, so EXPLAIN shows which scans read
 	// the frontier.
 	Delta map[string]bool
+
+	// The statement RunFrontier is running: its frontier root, the set its
+	// rows go into, and what the kernel found when it ran.
+	fuse     *planNode
+	frontier *ra.TupleSet
+	fused    *ra.FrontierStats
 }
 
 // NewExec returns an executor over eng.
@@ -51,6 +57,53 @@ func (x *Exec) RunAnalyzed(s *SelectStmt) (*relation.Relation, *obs.PlanNode, er
 		return nil, nil, err
 	}
 	return x.execute(p, true)
+}
+
+// RunFrontier evaluates a WITH+ union or union all branch whose rows go
+// into set, the recursion's semi-naive set, with or without analyze (as Run
+// and RunAnalyzed). When the plan's frontier root runs as ra's frontier
+// kernel, the rows returned are only those not yet in set — already added to
+// it — and fused reports what the kernel found; fused is nil when the
+// statement ran unfused, and the caller diffs its rows against set.
+func (x *Exec) RunFrontier(s *SelectStmt, set *ra.TupleSet, analyze bool) (r *relation.Relation, plan *obs.PlanNode, fused *ra.FrontierStats, err error) {
+	p, err := x.plan(s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	x.fuse, x.frontier, x.fused = frontierRoot(p, set), set, nil
+	defer func() { x.fuse, x.frontier, x.fused = nil, nil, nil }()
+	r, plan, err = x.execute(p, analyze)
+	return r, plan, x.fused, err
+}
+
+// frontierRoot is the node of p the frontier kernel may replace: the plan
+// root — under projections that pass its rows through — when it is an
+// equi-join over a cached CSR on a single key whose kept columns are left
+// columns and exactly one column of the right table, as many as set's rows
+// are wide. Whether the kernel runs is decided when the node executes
+// (frontierJoin).
+func frontierRoot(p *planNode, set *ra.TupleSet) *planNode {
+	if set == nil {
+		return nil
+	}
+	for p.op == opProject && p.passthrough {
+		p = p.kids[0]
+	}
+	j := p.join
+	if p.op != opEquiJoin || j.algo != ra.HashJoin || j.path != engine.CachedCSR || len(j.rCols) != 1 ||
+		j.restore != nil || len(j.keep) != set.Arity() {
+		return nil
+	}
+	right := 0
+	for _, c := range j.keep {
+		if c >= p.kids[0].sch.Arity() {
+			right++
+		}
+	}
+	if right != 1 {
+		return nil
+	}
+	return p
 }
 
 // execute runs the plan bottom-up and is, with the kernel helpers it calls,
@@ -121,7 +174,7 @@ func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *
 			out = ra.FullOuterJoin(ins[0], ins[1], n.join.lCols, n.join.rCols, x.Eng.Gov())
 		}
 	case opEquiJoin:
-		out = x.equiJoin(n, ins[0], ins[1], t0)
+		out, note = x.equiJoin(n, ins[0], ins[1], t0)
 	case opProduct:
 		out = ra.Product(ins[0], ins[1])
 	case opMultiway:
@@ -168,23 +221,31 @@ func (x *Exec) apply(n *planNode, ins []*relation.Relation, t0 time.Time) (out *
 	if n.join.restore != nil {
 		out = ra.ProjectCols(out, n.join.restore)
 	}
-	return out, "", nil
+	return out, note, nil
 }
 
 // equiJoin runs one binary equi-join step. The build-side structure the
 // planner chose is opened here — built once per table version and extended
 // in place on appends, so the recursive loop's immutable build sides never
-// rebuild.
-func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) *relation.Relation {
+// rebuild. The frontier root runs as the frontier kernel when it can
+// (frontierJoin); note then labels it.
+func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) (*relation.Relation, string) {
 	j := n.join
 	spec := ra.EquiJoinSpec{LeftCols: j.lCols, RightCols: j.rCols, Algo: j.algo, Keep: j.keep, Gov: x.Eng.Gov()}
 	if x.Eng.Observing() {
 		spec.Span = &obs.Span{Op: "join", Algo: j.algo.String(), Note: "sql equi-join", Start: t0}
 	}
-	if j.path != engine.FreshBuild {
+	var out *relation.Relation
+	note := ""
+	switch {
+	case n == x.fuse:
+		out, note = x.frontierJoin(n, l, r, &spec)
+	case j.path != engine.FreshBuild:
 		spec.RightCSR, spec.RightHash = x.Eng.OpenBuildSide(n.kids[1].ref.Name, j.path, j.rCols, -1)
 	}
-	out := ra.EquiJoin(l, r, spec)
+	if out == nil {
+		out = ra.EquiJoin(l, r, spec)
+	}
 	x.Eng.CountJoin()
 	if sp := spec.Span; sp != nil {
 		sp.LeftRows, sp.RightRows, sp.OutRows = int64(l.Len()), int64(r.Len()), int64(out.Len())
@@ -192,7 +253,41 @@ func (x *Exec) equiJoin(n *planNode, l, r *relation.Relation, t0 time.Time) *rel
 		sp.Dur = time.Since(t0)
 		x.Eng.Emit(*sp)
 	}
-	return out
+	return out, note
+}
+
+// frontierJoin runs the frontier root through the frontier kernel over the
+// one structure it opens, the table's cached CSR on (key, target) — with any
+// weight column, so an agg-join's (F, T, ew) CSR serves it. The kernel
+// declines when the target dictionary holds a float (equal values could be
+// spelled apart); out is then nil and spec reads the same CSR, whose rows
+// csrJoin joins as the planned path would.
+func (x *Exec) frontierJoin(n *planNode, l, r *relation.Relation, spec *ra.EquiJoinSpec) (*relation.Relation, string) {
+	j := n.join
+	nl := n.kids[0].sch.Arity()
+	fs := ra.FrontierSpec{LeftCol: j.lCols[0], Out: make([]int, len(j.keep)), Sch: n.sch, Gov: spec.Gov}
+	target := -1
+	for i, c := range j.keep {
+		fs.Out[i] = c
+		if c >= nl {
+			fs.Out[i], target = -1, c-nl
+		}
+	}
+	csr, _ := x.Eng.OpenBuildSide(n.kids[1].ref.Name, engine.CachedCSR, j.rCols, target)
+	spec.RightCSR = csr
+	if csr == nil || !csr.Covers(r) {
+		return nil, ""
+	}
+	out, st, ok := x.frontier.Frontier(l, csr, fs)
+	if !ok {
+		return nil, ""
+	}
+	x.fused = &st
+	if spec.Span != nil {
+		spec.Span.Algo = "csr"
+		spec.Span.Note = "sql equi-join, new rows only"
+	}
+	return out, ", new rows only"
 }
 
 // aggJoin runs an agg-join node: the fused MV-join over the build table's

@@ -159,12 +159,17 @@ func (p *Program) Run() (*relation.Relation, *Trace, error) {
 // stable across iterations (one per subquery), so a 15-iteration loop
 // renders as one tree with loops=15 rather than 15 trees.
 func (p *Program) runQuery(s *sql.SelectStmt, section string) (*relation.Relation, error) {
-	if !p.analyze {
-		return p.exec.Run(s)
-	}
-	r, plan, err := p.exec.RunAnalyzed(s)
+	r, _, err := p.runInto(s, section, nil)
+	return r, err
+}
+
+// runInto is runQuery for a branch whose rows go into the semi-naive set
+// (sql.Exec.RunFrontier): fused is non-nil when the frontier kernel ran, and
+// r then holds only the rows new to set, already added to it.
+func (p *Program) runInto(s *sql.SelectStmt, section string, set *ra.TupleSet) (r *relation.Relation, fused *ra.FrontierStats, err error) {
+	r, plan, fused, err := p.exec.RunFrontier(s, set, p.analyze)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if plan != nil {
 		if cur, ok := p.plans[section]; ok {
@@ -174,7 +179,7 @@ func (p *Program) runQuery(s *sql.SelectStmt, section string) (*relation.Relatio
 			p.planOrder = append(p.planOrder, section)
 		}
 	}
-	return r, nil
+	return r, fused, nil
 }
 
 // AnalysisSection is one subquery's merged plan tree within an Analysis.
@@ -494,11 +499,20 @@ func (p *Program) stepBranch(ctx *psm.Ctx, i int, br sql.WithBranch) error {
 			delete(p.exec.Delta, w.RecName)
 		}()
 	}
-	q, err := p.runQuery(br.Query, fmt.Sprintf("recursive subquery Q%d", i+1))
+	var set *ra.TupleSet
+	if w.Ops[i-1] != sql.WithUnionByUpdate {
+		set = p.recSet
+	}
+	q, fused, err := p.runInto(br.Query, fmt.Sprintf("recursive subquery Q%d", i+1), set)
 	if err != nil {
 		return err
 	}
-	ctx.SetRows(int64(q.Len()))
+	if fused != nil {
+		// The statement's rows, as the join the kernel replaced counts them.
+		ctx.SetRows(fused.Candidates)
+	} else {
+		ctx.SetRows(int64(q.Len()))
+	}
 	before, err := p.eng.Rel(w.RecName)
 	if err != nil {
 		return err
@@ -533,15 +547,23 @@ func (p *Program) stepBranch(ctx *psm.Ctx, i int, br sql.WithBranch) error {
 		// union / union all accumulate; the with+ implementation is
 		// semi-naive (Exp-C): only rows not already in R are appended. The
 		// seeded distinct-set remembers R across iterations, so the
-		// Difference costs O(|dedup|) probes, not O(|R|) rebuild work.
-		dedup := ra.Distinct(retag(q, before.Sch))
+		// Difference costs O(|q|) probes, not O(|R|) rebuild work, and it
+		// collapses q's duplicates itself. The frontier kernel did both
+		// already when it ran. A cycle is a row of q that was in R before
+		// this step; duplicates within q are not one.
 		var delta *relation.Relation
-		if p.recSet != nil {
-			delta = p.recSet.DiffAdd(dedup)
-		} else {
+		old := false
+		switch {
+		case fused != nil:
+			delta, old = retag(q, before.Sch), fused.Old
+		case p.recSet != nil:
+			delta, old = p.recSet.DiffAdd(retag(q, before.Sch))
+		default:
+			dedup := ra.Distinct(retag(q, before.Sch))
 			delta = ra.Difference(dedup, before)
+			old = delta.Len() < dedup.Len()
 		}
-		if delta.Len() < dedup.Len() {
+		if old {
 			p.trace.CycleDetected = true
 		}
 		deltaRows = delta.Len()

@@ -82,6 +82,17 @@ go test ./graphsql -run 'MatchExplainAnalyzeGolden' -count=1
 go test -race ./internal/sql -run 'AggJoin' -count=1
 go test ./internal/ra -run 'DistinctMatchesReference|NullKey' -bench 'BenchmarkDistinctReachStep' -benchtime 1x -count=1
 
+echo "== frontier smoke (fused semi-naive step vs join + DISTINCT + DiffAdd)"
+# The bounded-exhaustive check over every edge table of up to four rows (the
+# go test default is two) with its two planted visited-set mutations; the
+# profile differentials (tail chains, string keys, Int/Float targets that
+# must fall back, governor rows) and the root rule, also under -race; the
+# goldens and spans of the fused node.
+go test ./internal/ra -run 'FrontierExhaustive|TupleSet' -count=1 -args -frontier.rows=4
+go test ./internal/withplus ./internal/sql -run 'Frontier' -count=1
+go test -race ./internal/withplus ./internal/sql -run 'Frontier' -count=1
+go test ./graphsql -run 'ExplainAnalyzeGolden|WithObserverCollectsSpans' -count=1
+
 echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
 
