@@ -493,8 +493,7 @@ func (t *Table) noteAppendLocked(tuples []relation.Tuple) {
 	for _, tu := range tuples {
 		rows = append(rows, tu.Clone())
 	}
-	private := t.owner != nil && t.owner.parent != nil
-	if !private && t.owner != nil && t.owner.concurrent() {
+	if t.sharedLocked() {
 		next := &relation.Relation{Sch: t.cache.Sch, Tuples: rows}
 		t.invalidateLocked()
 		t.cache = next
@@ -532,6 +531,77 @@ func (t *Table) noteAppendLocked(tuples []relation.Tuple) {
 	// Sorted indexes have no cheap extension: appended rows break the order.
 	t.indexes = nil
 	t.Stats.Analyzed = false
+}
+
+// UpdateRows overwrites the rows at positions pos (ascending, in the
+// materialization's order) with rows and keeps every other row where it is:
+// the write of a keyed union-by-update merge, which touches only the rows it
+// changed. The table keeps rows themselves; the caller hands them over and
+// never changes them. The store is updated in place where it can be
+// (rowUpdater), else rewritten from the updated image. The materialization
+// cache is updated in place unless other sessions may hold it
+// (sharedLocked), so a cache header a caller holds — and the key index built
+// over it — stays current; a shared table's next version gets a new header
+// over the updated rows and pinned readers keep the old one. Access
+// structures drop: the updated columns may be any.
+func (t *Table) UpdateRows(pos []int, rows []relation.Tuple) error {
+	if len(pos) == 0 {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur, err := t.materializeLocked()
+	if err != nil {
+		return err
+	}
+	next, shared := cur.Tuples, t.sharedLocked()
+	if shared {
+		next = append([]relation.Tuple(nil), cur.Tuples...)
+	}
+	inPlace := true
+	u, ok := t.Store.(rowUpdater)
+	for i, p := range pos {
+		next[p] = rows[i]
+		if ok && inPlace {
+			if inPlace, err = u.UpdateAt(p, next[p]); err != nil {
+				t.invalidateLocked()
+				return err
+			}
+		}
+	}
+	if !ok || !inPlace {
+		if err := t.Store.Truncate(); err != nil {
+			t.invalidateLocked()
+			return err
+		}
+		for _, tu := range next {
+			if err := t.Store.Insert(tu); err != nil {
+				t.invalidateLocked()
+				return err
+			}
+		}
+	}
+	t.invalidateLocked()
+	t.cache = cur
+	if shared {
+		t.cache = &relation.Relation{Sch: cur.Sch, Tuples: next}
+	}
+	return nil
+}
+
+// rowUpdater is a store that can overwrite a stored tuple in place:
+// UpdateAt replaces tuple i (in Scan order) with t, or reports false,
+// having changed nothing, when it cannot do so in place.
+type rowUpdater interface {
+	UpdateAt(i int, t relation.Tuple) (bool, error)
+}
+
+// sharedLocked reports whether sessions other than the table's own may hold
+// its cache header — a root table while a session overlay is live — so a
+// write must publish a new header instead of changing the one they read.
+func (t *Table) sharedLocked() bool {
+	private := t.owner != nil && t.owner.parent != nil
+	return !private && t.owner != nil && t.owner.concurrent()
 }
 
 // Truncate removes all tuples and invalidates indexes and statistics.

@@ -386,3 +386,51 @@ func TestRenameInvalidatesMaterializationCache(t *testing.T) {
 		t.Errorf("materialization after rename still qualified %q", r2.Sch[0].Table)
 	}
 }
+
+// TestUpdateRows: the rows at the given positions change and every other
+// row stays, in the materialization (the header a reader holds, on a
+// private table) and in the store — in place on memory and paged stores,
+// by a rewrite when a paged record changes length.
+func TestUpdateRows(t *testing.T) {
+	for _, kind := range []StoreKind{StoreMem, StorePaged} {
+		c := newCat()
+		tab, err := c.Create("t", sch(), kind, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 500; i++ {
+			if err := tab.Insert(tu(i, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, err := tab.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver := tab.Version()
+		want := append([]relation.Tuple(nil), before.Tuples...)
+		want[3], want[400] = tu(3, -3), relation.Tuple{value.Int(400), value.Null}
+		if err := tab.UpdateRows([]int{3, 400}, []relation.Tuple{want[3], want[400]}); err != nil {
+			t.Fatal(err)
+		}
+		after, err := tab.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before || tab.Version() == ver || tab.Rows() != 500 {
+			t.Fatalf("kind %d: header kept %v, version moved %v, rows %d", kind, after == before, tab.Version() != ver, tab.Rows())
+		}
+		var scanned []relation.Tuple
+		if err := tab.Store.Scan(func(tu relation.Tuple) bool {
+			scanned = append(scanned, tu)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !after.Tuples[i].Equal(want[i]) || !scanned[i].Equal(want[i]) {
+				t.Fatalf("kind %d row %d: cache %v, store %v, want %v", kind, i, after.Tuples[i], scanned[i], want[i])
+			}
+		}
+	}
+}

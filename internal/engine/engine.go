@@ -824,7 +824,9 @@ func (e *Engine) ChooseAggJoinSide(t *catalog.Table, aJoin, aKeep, w int) Access
 // its group-by bit for bit, and otherwise returns ok false having run and
 // counted nothing beyond opening the structure: every ⊙ operand — c's W
 // column and av's weight column — is a float, so no product is NULL and
-// each is the float the SQL expression computes; and no group key is a
+// each is the float the SQL expression computes (over the CSR, c's operand
+// may also be an integer: against a float weight value.Add and value.Mul
+// widen it to its float64, as the CSR kernel does); and no group key is a
 // float (ColumnDict.FloatKeys), so the dictionary groups and spells keys as
 // the group-by does. The semiring must be one whose float form matches SQL's
 // aggregate (min, max or sum over + or *). Rows fold in the join's order —
@@ -832,7 +834,7 @@ func (e *Engine) ChooseAggJoinSide(t *catalog.Table, aJoin, aKeep, w int) Access
 // first-touch order.
 func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, workers int, exact bool, sp *obs.Span) (out *relation.Relation, ok bool, err error) {
 	ar := av.Rel
-	if exact && !floatCol(c, cc.W) {
+	if exact && !floatCol(c, cc.W, path == CachedCSR) {
 		return nil, false, nil
 	}
 	var csr *relation.CSR
@@ -856,7 +858,7 @@ func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation,
 		if dict, _, err = av.EnsureColumnDict(aKeep); err != nil {
 			return nil, false, err
 		}
-		if exact && (!floatCol(ar, ac.W) || dict.FloatKeys()) {
+		if exact && (!floatCol(ar, ac.W, false) || dict.FloatKeys()) {
 			return nil, false, nil
 		}
 	}
@@ -879,10 +881,11 @@ func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation,
 	return out, true, nil
 }
 
-// floatCol reports whether every value of column col of r is a float.
-func floatCol(r *relation.Relation, col int) bool {
+// floatCol reports whether every value of column col of r is a float — or,
+// with ints, a number.
+func floatCol(r *relation.Relation, col int, ints bool) bool {
 	for _, t := range r.Tuples {
-		if t[col].K != value.KindFloat {
+		if k := t[col].K; k != value.KindFloat && (!ints || k != value.KindInt) {
 			return false
 		}
 	}
@@ -1072,7 +1075,7 @@ func (e *Engine) UnionByUpdate(target string, s *relation.Relation, keyCols []in
 	if impl == ra.UBUReplace {
 		// The delta of the attribute-less form: everything when the content
 		// moved, nothing when the rewrite was an identical image.
-		if cur.Len() == s.Len() && cur.Equal(s) {
+		if ra.SameBag(cur, s) {
 			delta = relation.New(t.Sch)
 		} else {
 			delta = s
@@ -1126,6 +1129,43 @@ func (e *Engine) UnionByUpdate(target string, s *relation.Relation, keyCols []in
 		sp.OutRows = int64(updated.Len())
 	}
 	return delta, e.StoreInto(target, updated)
+}
+
+// MergeInto writes a keyed merge (ra.KeyIndex.Merge) into the target
+// table — this session's own, holding rows rows — touching only the rows
+// the merge rewrites, in place (catalog.Table.UpdateRows). To anyone
+// outside it is the union-by-update it replaces: it counts one, emits its
+// span, and charges the governor what the full-outer union-by-update of
+// the projected rows into the table would — one row per table row, one per
+// output row (each table row's own) and one per projected row. It returns
+// the changed-row delta, as UnionByUpdate does.
+func (e *Engine) MergeInto(target string, rows int, res ra.MergeResult) (delta *relation.Relation, err error) {
+	defer govern.RecoverTo(&err)
+	t, err := e.Cat.Get(target)
+	if err != nil {
+		return nil, err
+	}
+	if !e.Cat.Owns(t) {
+		return nil, fmt.Errorf("engine: keyed merge into %s, a table shared with other sessions", target)
+	}
+	e.Cnt.add(&e.Cnt.UBUs, 1)
+	var sp *obs.Span
+	if e.sink != nil {
+		sp = &obs.Span{Op: "union-by-update", Note: target + " (keyed merge)", LeftRows: int64(rows), RightRows: int64(res.Pairs), OutRows: int64(rows), Start: time.Now()}
+	}
+	if err := e.gov.Step(2*rows + res.Pairs); err != nil {
+		return nil, err
+	}
+	e.Cnt.add(&e.Cnt.Inserts, int64(len(res.Pos)))
+	if err := t.UpdateRows(res.Pos, res.Rows); err != nil {
+		return nil, err
+	}
+	e.Commit()
+	if sp != nil {
+		sp.Dur = time.Since(sp.Start)
+		e.Emit(*sp)
+	}
+	return &relation.Relation{Sch: t.Sch.Qualify(t.Name), Tuples: res.Delta}, nil
 }
 
 // aggJoin is the materializing aggregate-join the sort-merge profiles keep

@@ -47,16 +47,17 @@ func TestDeltaRecordsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 workloads x 3 profiles.
-	if len(recs) != 6 {
-		t.Fatalf("got %d records, want 6", len(recs))
+	// 5 workloads x 3 profiles: TC and REACH on the chain, SSSP, BFS and
+	// WCC (union by update) on a fifth of it.
+	if len(recs) != 15 {
+		t.Fatalf("got %d records, want 15", len(recs))
 	}
 	for _, r := range recs {
 		if r.Exp != "delta" || r.Off || !r.Delta {
 			t.Errorf("%s: frontier rewrite not enabled: %+v", r.cell(), r)
 		}
-		if r.Nodes < 600 {
-			t.Errorf("%s: scale %d under the n>=600 floor", r.cell(), r.Nodes)
+		if floor := map[string]int{"TC": 600, "REACH": 600}[r.Name]; r.Nodes < floor || floor == 0 && r.Nodes != 600/5 {
+			t.Errorf("%s: scale %d, want the n>=600 floor (a fifth of it for union by update)", r.cell(), r.Nodes)
 		}
 		if r.Iterations == 0 || r.RowsFinal == 0 || r.DeltaRowsTotal == 0 || r.NsOp <= 0 {
 			t.Errorf("%s: degenerate run %+v", r.cell(), r)

@@ -40,8 +40,10 @@ import (
 // The fold runs in one of two lanes, chosen once per call. The float lane
 // folds unboxed float64 through the semiring's float form; it runs when
 // the semiring has one, the CSR carries float weights, and every probe-side
-// weight is KindFloat (checked by the resolve pass). Otherwise the boxed
-// lane folds value.Value through Plus and Times. Both fold in the same
+// weight is a number (checked by the resolve pass) — an integer widened to
+// its float64, exactly as value.Add and value.Mul widen it against a float
+// weight. Otherwise the boxed lane folds value.Value through Plus and
+// Times. Both fold in the same
 // order — probe-row order, then each source's main block, then its tail
 // chain — so for float operands their outputs agree bit for bit.
 func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr semiring.Semiring, workers int, gov *govern.Governor, sp *obs.Span) *relation.Relation {
@@ -54,7 +56,7 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 	}
 	// Resolve pass: every probe row's source ordinal (-1 when absent or
 	// NULL — an equi-join key, see EquiJoin), and whether every probe weight
-	// is a float.
+	// is a number.
 	ords := make([]int32, c.Len())
 	floatProbe := true
 	for i, ct := range c.Tuples {
@@ -63,7 +65,7 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 		} else {
 			ords[i] = -1
 		}
-		if ct[cc.W].K != value.KindFloat {
+		if !ct[cc.W].IsNumeric() {
 			floatProbe = false
 		}
 	}
@@ -82,7 +84,7 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 				if s < 0 {
 					continue
 				}
-				cw := c.Tuples[i][cc.W].F
+				cw := c.Tuples[i][cc.W].AsFloat()
 				if int(s)+1 < len(offsets) {
 					for e := offsets[s]; e < offsets[s+1]; e++ {
 						fg.fold(targets[e], times.Apply(fw[e], cw))

@@ -242,8 +242,8 @@ func cellsByKey(r *relation.Relation) map[int64]value.Value {
 }
 
 // TestFusedMVJoinCSRFloatLaneFallback asserts a call the float lane cannot
-// serve runs wholly on the boxed lane: a NULL or Int probe weight, an Int
-// weight in the matrix, and an Int weight arriving by Extend. The boxed
+// serve runs wholly on the boxed lane: a NULL probe weight, an Int weight in
+// the matrix, and an Int weight arriving by Extend. The boxed
 // lane's output is unchanged by the float form it could not use.
 func TestFusedMVJoinCSRFloatLaneFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
@@ -256,11 +256,6 @@ func TestFusedMVJoinCSRFloatLaneFallback(t *testing.T) {
 		"null probe weight": func() fixture {
 			a, c := floatMatrix(rng, 40, 200), floatVector(rng, 40, 0)
 			c.Tuples[c.Len()/2][1] = value.Null
-			return fixture{a, c, relation.BuildCSR(a, 0, 1, 2)}
-		},
-		"int probe weight": func() fixture {
-			a, c := floatMatrix(rng, 40, 200), floatVector(rng, 40, 0)
-			c.Tuples[c.Len()-1][1] = value.Int(2)
 			return fixture{a, c, relation.BuildCSR(a, 0, 1, 2)}
 		},
 		"int matrix weight": func() fixture {
@@ -303,6 +298,35 @@ func TestFusedMVJoinCSRFloatLaneFallback(t *testing.T) {
 	a, c := floatMatrix(rng, 40, 200), floatVector(rng, 40, 0)
 	if _, algo, _, _ := laneRun(a, c, relation.BuildCSR(a, 0, 1, 2), semiring.OrAnd(), 1, 0); algo != "fused-csr" {
 		t.Errorf("or-and ran lane %q, want fused-csr", algo)
+	}
+}
+
+// TestFusedMVJoinCSRFloatLaneWidensIntProbe asserts an Int probe weight
+// against float matrix weights takes the float lane, widened to its float64,
+// and folds to the boxed lane's output bit for bit under every semiring with
+// a float form — value.Add and value.Mul widen the Int the same way.
+func TestFusedMVJoinCSRFloatLaneWidensIntProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(306))
+	for _, sr := range []semiring.Semiring{semiring.PlusTimes(), semiring.MinPlus(), semiring.MaxTimes(), semiring.MinTimes()} {
+		a, c := floatMatrix(rng, 40, 200), floatVector(rng, 40, 0)
+		for i := range c.Tuples {
+			if i%3 != 0 {
+				c.Tuples[i][1] = value.Int(int64(rng.Intn(7) - 3))
+			}
+		}
+		csr := relation.BuildCSR(a, 0, 1, 2)
+		got, algo, rows, err := laneRun(a, c, csr, sr, 1, 0)
+		want, _, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), 1, 0)
+		if err != nil || boxedErr != nil {
+			t.Fatalf("%s: %v / %v", sr.Name, err, boxedErr)
+		}
+		if algo != "fused-csr f64" {
+			t.Errorf("%s: ran lane %q, want fused-csr f64", sr.Name, algo)
+		}
+		if rows != boxedRows {
+			t.Errorf("%s: governor rows %d vs %d", sr.Name, rows, boxedRows)
+		}
+		wantSameCells(t, sr.Name, got, want)
 	}
 }
 

@@ -243,7 +243,7 @@ func unionByUpdate(r, s *relation.Relation, keyCols []int, impl UBUImpl, gov *go
 		if wantDelta {
 			// The attribute-less form rewrites the whole relation; its delta
 			// is everything when the content moved, nothing when it did not.
-			if r.Equal(s) {
+			if SameBag(r, s) {
 				delta = relation.New(r.Sch)
 			} else {
 				delta = out
@@ -269,11 +269,11 @@ func unionByUpdate(r, s *relation.Relation, keyCols []int, impl UBUImpl, gov *go
 // r and s row plus one per output row.
 //
 // With wantDelta it also collects the rows the coalesce actually changed:
-// matched rows whose coalesced values differ from the r side, and unmatched
-// s rows (whose r side is all-NULL padding). A row inserted from s with
-// every column NULL is indistinguishable from its padding and escapes the
-// delta — such a row has a NULL key, which the paper's union-by-update
-// already disallows.
+// matched rows whose coalesced values differ from the r side (SameRow: a NaN
+// that stays NaN is no change), and unmatched s rows (whose r side is
+// all-NULL padding). A row inserted from s with every column NULL is
+// indistinguishable from its padding and escapes the delta — such a row has
+// a NULL key, which the paper's union-by-update already disallows.
 func ubuFullOuter(r, s *relation.Relation, keyCols []int, gov *govern.Governor, wantDelta bool) (out, delta *relation.Relation) {
 	arity := r.Sch.Arity()
 	idx := relation.BuildHashIndex(s, keyCols)
@@ -313,7 +313,7 @@ func ubuFullOuter(r, s *relation.Relation, keyCols []int, gov *govern.Governor, 
 			rt = pad
 		}
 		out.Tuples = append(out.Tuples, nt)
-		if wantDelta && !nt.Equal(rt) {
+		if wantDelta && !SameRow(nt, rt) {
 			delta.Tuples = append(delta.Tuples, nt)
 		}
 	}
@@ -374,7 +374,7 @@ func ubuUpdateFrom(r, s *relation.Relation, keyCols []int, checkDup bool, gov *g
 		changed := false
 		idx.ProbeEach(st, keyCols, func(row int) bool {
 			matchedAny = true
-			if wantDelta && !changed && !out.Tuples[row].Equal(st) {
+			if wantDelta && !changed && !SameRow(out.Tuples[row], st) {
 				changed = true
 			}
 			out.Tuples[row] = st.Clone()

@@ -17,7 +17,8 @@ import (
 // ubuFullOuterRef is the two-pass union-by-update the streamed ubuFullOuter
 // replaces, kept as its reference: materialize the full outer join of r and
 // s on the keys, then coalesce(s.*, r.*) row by row into the output. With
-// wantDelta it collects the coalesced rows that differ from their r side.
+// wantDelta it collects the coalesced rows that differ from their r side
+// (SameRow: NaN equals NaN).
 func ubuFullOuterRef(r, s *relation.Relation, keyCols []int, gov *govern.Governor, wantDelta bool) (out, delta *relation.Relation) {
 	joined := fullOuterJoinEqual(r, s, keyCols, gov)
 	arity := r.Sch.Arity()
@@ -32,7 +33,7 @@ func ubuFullOuterRef(r, s *relation.Relation, keyCols []int, gov *govern.Governo
 			nt[i] = value.Coalesce(t[arity+i], t[i])
 		}
 		out.Tuples = append(out.Tuples, nt)
-		if wantDelta && !nt.Equal(t[:arity]) {
+		if wantDelta && !SameRow(nt, t[:arity]) {
 			delta.Tuples = append(delta.Tuples, nt)
 		}
 	}
@@ -71,7 +72,7 @@ func fullOuterJoinEqual(r, s *relation.Relation, keyCols []int, gov *govern.Gove
 // ubuRandRel returns a relation (id INT, a FLOAT, b STRING) whose ids are
 // drawn from [0, keys) — with repeats, so s may carry duplicate keys — and
 // whose non-key columns are NULL about one time in four (NaN now and then
-// in a, which never equals itself).
+// in a, which never equals itself under value.Equal).
 func ubuRandRel(rng *rand.Rand, rows, keys int) *relation.Relation {
 	r := relation.New(schema.Schema{
 		{Name: "id", Type: value.KindInt},

@@ -226,11 +226,11 @@ func (d *ColumnDict) Extend(rel *Relation) {
 // and spells them as the dictionary does.
 func (d *ColumnDict) FloatKeys() bool { return d.floatKeys }
 
-// denseKey extracts the dense-map index of a key value: integral numerics
+// DenseKey extracts the dense-map index of a key value: integral numerics
 // (Int, or Float with an integral value — value.Equal treats Int(3) and
 // Float(3.0) as the same key) map to their integer; everything else is
 // unmappable.
-func denseKey(v value.Value) (int64, bool) {
+func DenseKey(v value.Value) (int64, bool) {
 	switch v.K {
 	case value.KindInt:
 		return v.I, true
@@ -251,7 +251,7 @@ func (d *ColumnDict) extendDense(prevKeys int) {
 	}
 	maxID := int64(len(d.dense)) - 1
 	for _, k := range d.Keys[prevKeys:] {
-		id, ok := denseKey(k)
+		id, ok := DenseKey(k)
 		if !ok || id < 0 {
 			d.dense, d.sparse = nil, true
 			return
@@ -268,7 +268,7 @@ func (d *ColumnDict) extendDense(prevKeys int) {
 		d.dense = grown
 	}
 	for ord := prevKeys; ord < len(d.Keys); ord++ {
-		id, _ := denseKey(d.Keys[ord])
+		id, _ := DenseKey(d.Keys[ord])
 		d.dense[id] = int32(ord) + 1
 	}
 }
@@ -282,7 +282,7 @@ func (d *ColumnDict) Lookup(v value.Value) (int32, bool) {
 	if !d.sparse {
 		// Every key is a small non-negative integer, so a value that maps
 		// to no slot equals no key.
-		id, ok := denseKey(v)
+		id, ok := DenseKey(v)
 		if !ok || uint64(id) >= uint64(len(d.dense)) {
 			return 0, false
 		}

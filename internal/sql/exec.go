@@ -31,6 +31,12 @@ type Exec struct {
 	fuse     *planNode
 	frontier *ra.TupleSet
 	fused    *ra.FrontierStats
+
+	// The statement RunUBU is running: its keyed-merge target, its merge
+	// root, and what the merge did when it ran.
+	ubu     *UBUMerge
+	mergeAt *planNode
+	merged  *MergeStats
 }
 
 // NewExec returns an executor over eng.
@@ -113,6 +119,9 @@ func frontierRoot(p *planNode, set *ra.TupleSet) *planNode {
 // own work (inputs excluded). Off, no obs node is allocated and the clock
 // is read only for a join whose span an attached observer wants.
 func (x *Exec) execute(n *planNode, analyze bool) (*relation.Relation, *obs.PlanNode, error) {
+	if n == x.mergeAt {
+		return x.keyedMerge(n, analyze)
+	}
 	var buf [3]*relation.Relation
 	ins := buf[:0]
 	var kids []*obs.PlanNode

@@ -261,27 +261,20 @@ func (x *Exec) compileFunc(n *FuncCall, sch schema.Schema) (ra.Expr, error) {
 			}
 			return value.Coalesce(vs...), nil
 		}, nil
-	case "least":
+	case "least", "greatest":
+		// Folded argument by argument: no argument slice per row.
+		pick := value.Min
+		if name == "greatest" {
+			pick = value.Max
+		}
 		return func(t relation.Tuple) (value.Value, error) {
-			vs, err := evalArgs(t)
-			if err != nil {
-				return value.Null, err
-			}
 			out := value.Null
-			for _, v := range vs {
-				out = value.Min(out, v)
-			}
-			return out, nil
-		}, nil
-	case "greatest":
-		return func(t relation.Tuple) (value.Value, error) {
-			vs, err := evalArgs(t)
-			if err != nil {
-				return value.Null, err
-			}
-			out := value.Null
-			for _, v := range vs {
-				out = value.Max(out, v)
+			for _, a := range args {
+				v, err := a(t)
+				if err != nil {
+					return value.Null, err
+				}
+				out = pick(out, v)
 			}
 			return out, nil
 		}, nil

@@ -68,8 +68,10 @@ type planNode struct {
 	delta    bool
 	lookup   *lookupPlan
 
-	// A project whose select list is exactly its input's columns, in
-	// order, over a join's rows passes them through under its own header.
+	// A project whose select list is exactly its input's columns, in order
+	// (identity), over rows the statement built — a join's, or a FROM
+	// subquery's grouped rows — passes them through under its own header.
+	identity    bool
 	passthrough bool
 
 	// Filter, project and aggregate run the vector kernels (vec) or the row
@@ -471,6 +473,12 @@ func (x *Exec) planRef(t *TableRef) (*planNode, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A subquery's select list that is exactly its grouped rows'
+		// columns only names them, and the subquery re-qualifies rows
+		// without copying: the group-by's fresh rows pass through.
+		if sub.op == opProject && sub.identity && (sub.kids[0].op == opAggregate || sub.kids[0].op == opAggJoin) {
+			sub.passthrough = true
+		}
 		n := &planNode{op: opSubquery, ref: t, sch: sub.sch, kids: []*planNode{sub}}
 		if t.Alias != "" {
 			n.sch = sub.sch.Qualify(t.Alias)
@@ -604,7 +612,8 @@ func (x *Exec) projectNode(items []SelectItem, in *planNode) *planNode {
 		identity = identity && ok
 		n.sch = append(n.sch, outColName(it, i, in.sch))
 	}
-	n.passthrough = identity && len(n.sch) == in.sch.Arity() && in.joinRows()
+	n.identity = identity && len(n.sch) == in.sch.Arity()
+	n.passthrough = n.identity && in.joinRows()
 	return n
 }
 

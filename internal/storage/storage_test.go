@@ -637,3 +637,47 @@ func TestWALHostileFrames(t *testing.T) {
 		t.Error("short frame accepted")
 	}
 }
+
+// TestPagedStoreUpdateAt: an unlogged paged store overwrites a record in its
+// slot, on any page, when the new encoding has the old length, and reports
+// false — changing nothing — when it does not or the store logs.
+func TestPagedStoreUpdateAt(t *testing.T) {
+	pool := NewBufferPool(NewDisk(), 4)
+	s := NewPagedStore(pool, nil, "t")
+	want := make([]relation.Tuple, 2000)
+	for i := range want {
+		want[i] = relation.Tuple{value.Int(int64(i)), value.Float(float64(i))}
+		if err := s.Insert(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.pages) < 3 {
+		t.Fatalf("fixture spans %d pages, want several", len(s.pages))
+	}
+	for _, i := range []int{0, 1, 777, 1999} {
+		want[i] = relation.Tuple{value.Int(int64(i)), value.Float(-0.5)}
+		if ok, err := s.UpdateAt(i, want[i]); !ok || err != nil {
+			t.Fatalf("update %d: %v %v", i, ok, err)
+		}
+	}
+	if ok, err := s.UpdateAt(5, relation.Tuple{value.Int(5), value.Null}); ok || err != nil {
+		t.Fatalf("a shorter record updated in place: %v %v", ok, err)
+	}
+	i := 0
+	if err := s.Scan(func(tu relation.Tuple) bool {
+		if !tu.Equal(want[i]) {
+			t.Fatalf("row %d = %v, want %v", i, tu, want[i])
+		}
+		i++
+		return true
+	}); err != nil || i != len(want) {
+		t.Fatalf("scan: %d rows, %v", i, err)
+	}
+	logged := NewPagedStore(pool, NewWAL(), "l")
+	if err := logged.Insert(want[0]); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := logged.UpdateAt(0, want[1]); ok {
+		t.Fatal("a logged store updated in place")
+	}
+}

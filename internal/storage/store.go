@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/relation"
 )
@@ -63,6 +64,13 @@ func (s *MemStore) Scan(fn func(t relation.Tuple) bool) error {
 	return nil
 }
 
+// UpdateAt replaces tuple i (in Scan order) with t, in place.
+func (s *MemStore) UpdateAt(i int, t relation.Tuple) (bool, error) {
+	s.bytes += tupleFootprint(t) - tupleFootprint(s.tuples[i])
+	s.tuples[i] = t
+	return true, nil
+}
+
 // Len implements TupleStore.
 func (s *MemStore) Len() int { return len(s.tuples) }
 
@@ -85,6 +93,7 @@ type PagedStore struct {
 	wal     *WAL   // nil for non-logged tables
 	name    string // table name stamped on WAL records (logged stores)
 	pages   []PageID
+	starts  []int // starts[k]: the number of tuples stored before page k
 	n       int
 	scratch []byte
 }
@@ -129,8 +138,36 @@ func (s *PagedStore) Insert(t relation.Tuple) error {
 		return fmt.Errorf("storage: fresh page rejected %d-byte record", len(rec))
 	}
 	s.pages = append(s.pages, id)
+	s.starts = append(s.starts, s.n)
 	s.n++
 	return s.pool.Unpin(id, true)
+}
+
+// UpdateAt replaces tuple i (in Scan order) with t in an unlogged store:
+// the record is overwritten in its slot when the new encoding has the old
+// one's length (a number replacing a number). A logged store, or a record
+// that would change length, reports false, having changed nothing.
+func (s *PagedStore) UpdateAt(i int, t relation.Tuple) (bool, error) {
+	if s.wal != nil || i < 0 || i >= s.n {
+		return false, nil
+	}
+	k := sort.Search(len(s.starts), func(k int) bool { return s.starts[k] > i }) - 1
+	id := s.pages[k]
+	p, err := s.pool.Fetch(id)
+	if err != nil {
+		return false, err
+	}
+	rec, err := p.Record(i - s.starts[k])
+	if err != nil {
+		s.pool.Unpin(id, false)
+		return false, err
+	}
+	s.scratch = EncodeTuple(s.scratch[:0], t)
+	if len(s.scratch) != len(rec) {
+		return false, s.pool.Unpin(id, false)
+	}
+	copy(rec, s.scratch)
+	return true, s.pool.Unpin(id, true)
 }
 
 // Scan implements TupleStore.
@@ -176,7 +213,7 @@ func (s *PagedStore) Truncate() error {
 	for _, id := range s.pages {
 		s.pool.Drop(id)
 	}
-	s.pages = nil
+	s.pages, s.starts = nil, nil
 	s.n = 0
 	if s.wal != nil {
 		s.wal.AppendTruncate(s.name)

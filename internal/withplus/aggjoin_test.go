@@ -98,8 +98,8 @@ func TestAggJoinTextsMatchUnfolded(t *testing.T) {
 			if strings.Contains(plan, "agg-join on") != planned {
 				t.Errorf("%s %s: agg-join planned %v, want %v:\n%s", prof.Name, tc.name, !planned, planned, plan)
 			}
-			// Every folded step runs the CSR kernel's float lane; WCC's
-			// integer labels keep its step unfolded.
+			// Every folded step runs the CSR kernel's float lane — WCC's
+			// integer labels too, widened to their float64.
 			folded := 0
 			for _, sp := range spans {
 				if sp.Op == "agg-join" {
@@ -109,7 +109,7 @@ func TestAggJoinTextsMatchUnfolded(t *testing.T) {
 					}
 				}
 			}
-			if want := planned && tc.name != "WCC"; (folded > 0) != want {
+			if want := planned; (folded > 0) != want {
 				t.Errorf("%s %s: %d folded steps, want folding %v", prof.Name, tc.name, folded, want)
 			}
 			if ok := check[tc.name]; ok != nil {

@@ -6,6 +6,7 @@ package withplus
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/datalog"
 	"repro/internal/sql"
@@ -150,8 +151,8 @@ func refTables(s *sql.SelectStmt, name string) bool {
 // Q(Δ_k) for linear Q, and Q(R_{k-1}) was already appended by the previous
 // iteration. Nonlinear branches (two occurrences) can pair an old row with a
 // new one, which Δ alone cannot produce; union-by-update branches rewrite
-// the whole vector each step; negation, aggregation, and LIMIT are not
-// monotone in R.
+// the whole vector each step, so this rule never admits one (GuardReason
+// decides them); negation, aggregation, and LIMIT are not monotone in R.
 func FrontierReason(w *sql.WithStmt, i int) string {
 	rec := w.RecName
 	br := w.Branches[i]
@@ -176,6 +177,155 @@ func FrontierReason(w *sql.WithStmt, i int) string {
 		return "limit is not monotone"
 	}
 	return ""
+}
+
+// guardTestMode is set only by tests: mutateGuardSum plants the fault the
+// bounded-exhaustive check must catch — the guard admits a sum as it does a
+// min.
+var guardTestMode string
+
+const mutateGuardSum = "Δ admitted under a sum merge"
+
+// GuardReason decides, for the recursive branch i of a union-by-update
+// statement, whether its inner reference to the recursive relation R may
+// read Δ_k — the rows the previous union-by-update changed, Δ_1 being the
+// seed — while the outer reference and the merge still read all of R. It
+// returns "" when the rewrite is sound, else the reason for full
+// evaluation (surfaced in Trace.BranchModes).
+//
+// The rewrite is sound for a min/max-guarded relaxation:
+//
+//	select R.k, least(R.c, s.m), … from R, (select …, min(…) m … from R, …
+//	  group by …) s where R.k = s.g
+//
+// keyed on R's one union-by-update key k, where every other column of R is
+// least(R.c, s.m) over a column m of s computed as min(…) — or greatest(R.c,
+// s.m) over max(…) — and s is one block that reads R exactly once, as a
+// plain FROM item, with no HAVING. A key not in Δ_k offers the candidate it
+// offered when its value last changed, which the guard already folded into
+// every row it reaches, and min and max absorb repeats (NULL is their
+// identity, ties keep the old value); so Δ evaluation writes the same rows
+// as full evaluation at every iteration. A sum (PageRank) counts a repeat
+// twice, an unguarded merge forgets the old value, a least over max can
+// raise it, and a second inner reference pairs an old row with a new one:
+// each keeps full evaluation. R's key must also be unique — checked at run
+// time, as only the data can tell (Program.stepBranch).
+func GuardReason(w *sql.WithStmt, i int) string {
+	rec := w.RecName
+	br := w.Branches[i]
+	switch {
+	case i == 0 || w.Ops[i-1] != sql.WithUnionByUpdate:
+		return "not a union-by-update branch"
+	case len(w.UBUCols) == 0:
+		return "union by update without key columns replaces the whole relation"
+	case len(w.UBUCols) > 1:
+		return "union by update on more than one key column"
+	case len(w.RecCols) == 0:
+		return fmt.Sprintf("%s declares no column names", rec)
+	case len(br.Computed) > 0:
+		return "the branch has computed-by relations"
+	}
+	q := br.Query
+	if q.Next != nil || q.Distinct || len(q.GroupBy) > 0 || q.HasAggregates() || len(q.OrderBy) > 0 || q.Limit >= 0 || len(q.From) != 2 {
+		return fmt.Sprintf("the merge is not a select over %s and one subquery", rec)
+	}
+	outer, sub := q.From[0], q.From[1]
+	if outer.Sub != nil {
+		outer, sub = sub, outer
+	}
+	if outer.IsJoin() || outer.Sub != nil || outer.Name != rec || sub.Sub == nil || sub.Alias == "" {
+		return fmt.Sprintf("the merge is not a select over %s and one subquery", rec)
+	}
+	r, a, key := outer.DisplayName(), sub.Alias, w.UBUCols[0]
+	kpos := -1
+	for c, name := range w.RecCols {
+		if name == key {
+			kpos = c
+		}
+	}
+	eq, ok := q.Where.(*sql.Binary)
+	if kpos < 0 || !ok || eq.Op != "=" {
+		return fmt.Sprintf("the merge does not join %s and %s on %s.%s alone", r, a, r, key)
+	}
+	l, lok := eq.L.(*sql.ColRef)
+	g, gok := eq.R.(*sql.ColRef)
+	if lok && gok && l.Table == a {
+		l, g = g, l
+	}
+	if !lok || !gok || l.Table != r || l.Name != key || g.Table != a {
+		return fmt.Sprintf("the merge does not join %s and %s on %s.%s alone", r, a, r, key)
+	}
+	s := sub.Sub
+	if n := sql.CountTableRefs(s, rec); n != 1 {
+		return fmt.Sprintf("the inner subquery reads %s %d times", rec, n)
+	}
+	direct := false
+	for _, f := range s.From {
+		if f.IsJoin() && f.Kind != sql.JoinInner {
+			return "the inner subquery has an outer join"
+		}
+		direct = direct || f.Sub == nil && !f.IsJoin() && f.Name == rec
+	}
+	switch {
+	case !direct:
+		return fmt.Sprintf("the inner subquery reads %s below its own FROM list", rec)
+	case s.Next != nil || s.Distinct || len(s.GroupBy) == 0 || s.Having != nil || s.HasLimitDeep():
+		return "the inner subquery is not one grouped block without HAVING or LIMIT"
+	case s.UsesNegation(rec):
+		return fmt.Sprintf("%s appears under negation", rec)
+	}
+	if len(q.Items) != len(w.RecCols) {
+		return fmt.Sprintf("the merge yields %d columns for %d", len(q.Items), len(w.RecCols))
+	}
+	for c, it := range q.Items {
+		col := w.RecCols[c]
+		if c == kpos {
+			if cr, ok := it.Expr.(*sql.ColRef); !ok || cr.Table != r || cr.Name != key {
+				return fmt.Sprintf("the merge does not keep %s.%s as the key", r, key)
+			}
+			continue
+		}
+		if reason := guarded(it.Expr, r, col, a, s); reason != "" {
+			return fmt.Sprintf("column %s: %s", col, reason)
+		}
+	}
+	return ""
+}
+
+// guarded checks one merge column: least(r.col, a.m) over an m that the
+// subquery s computes as min(…), or greatest over max(…).
+func guarded(e sql.Expr, r, col, a string, s *sql.SelectStmt) string {
+	f, ok := e.(*sql.FuncCall)
+	want := ""
+	if ok {
+		want = map[string]string{"least": "min", "greatest": "max"}[strings.ToLower(f.Name)]
+	}
+	if want == "" || len(f.Args) != 2 {
+		return fmt.Sprintf("not guarded by least(%s.%s, …) or greatest(%s.%s, …)", r, col, r, col)
+	}
+	old, okOld := f.Args[0].(*sql.ColRef)
+	m, okM := f.Args[1].(*sql.ColRef)
+	if !okOld || !okM || old.Table != r || old.Name != col || m.Table != a {
+		return fmt.Sprintf("%s does not merge the old %s.%s with a column of %s", f.Name, r, col, a)
+	}
+	for _, it := range s.Items {
+		if it.Alias != m.Name {
+			continue
+		}
+		agg, ok := it.Expr.(*sql.FuncCall)
+		name := ""
+		if ok && agg.IsAggregate() {
+			name = strings.ToLower(agg.Name)
+		}
+		if name == "sum" && guardTestMode == mutateGuardSum {
+			return ""
+		}
+		if name != want {
+			return fmt.Sprintf("%s.%s is not %s(…) under %s", a, m.Name, want, f.Name)
+		}
+		return ""
+	}
+	return fmt.Sprintf("%s.%s is not an aggregate of the inner subquery", a, m.Name)
 }
 
 // buildDatalog encodes the WITH+ statement as the XY Datalog program of

@@ -64,6 +64,22 @@ type Program struct {
 	pending     *relation.Relation
 	deltaSums   []int64
 
+	// Guarded Δ of a union-by-update branch (GuardReason): guardQuery is the
+	// branch with its inner reference to R renamed to deltaTab — aliased
+	// back to R's name — which each step binds to ubuDelta, the rows the
+	// previous union-by-update changed (the seed before the first step).
+	// guardFull is set at run time when R's key is not unique; the branch
+	// then reads all of R. merge is the branch's keyed-merge target
+	// (sql.RunUBU), whose key index survives the iterations.
+	guardQuery *sql.SelectStmt
+	ubuDelta   *relation.Relation
+	guardFull  bool
+	merge      *sql.UBUMerge
+
+	// afterStep, set only by tests, sees R and the rows each branch step
+	// changed, so a differential can compare every iteration.
+	afterStep func(r, delta *relation.Relation)
+
 	// analyze mode (RunAnalyzed): every compiled SELECT runs through
 	// sql.Exec.RunAnalyzed and its annotated plan is merged into the
 	// per-section accumulator, collapsing the loop's iterations into one
@@ -118,7 +134,13 @@ func (p *Program) planFrontier() {
 		if !p.recursive[i] {
 			continue
 		}
-		reason := FrontierReason(w, i)
+		ubu := w.Ops[i-1] == sql.WithUnionByUpdate
+		reason := ""
+		if ubu {
+			reason = GuardReason(w, i)
+		} else {
+			reason = FrontierReason(w, i)
+		}
 		switch {
 		case reason != "":
 			p.trace.BranchModes = append(p.trace.BranchModes,
@@ -129,6 +151,10 @@ func (p *Program) planFrontier() {
 		case p.eng.Cat.Has(deltaTab):
 			p.trace.BranchModes = append(p.trace.BranchModes,
 				fmt.Sprintf("Q%d: full evaluation (Δ working table %s collides with an existing table)", i+1, deltaTab))
+		case ubu:
+			p.guardQuery = renameInner(w.Branches[i].Query, w.RecName, deltaTab)
+			p.trace.BranchModes = append(p.trace.BranchModes,
+				fmt.Sprintf("Q%d: guarded Δ (the inner %s reads the rows the last update changed)", i+1, w.RecName))
 		default:
 			p.branchDelta[i] = true
 			p.anyDelta = true
@@ -136,10 +162,37 @@ func (p *Program) planFrontier() {
 				fmt.Sprintf("Q%d: Δ frontier", i+1))
 		}
 	}
-	if p.anyDelta {
+	if p.anyDelta || p.guardQuery != nil {
 		p.deltaTab = deltaTab
 	}
-	p.trace.DeltaEnabled = p.anyDelta
+	p.trace.DeltaEnabled = p.anyDelta || p.guardQuery != nil
+}
+
+// renameInner returns q with the one FROM reference to rec inside its
+// subquery renamed to name and aliased as before, so the reference reads
+// whatever name binds while its columns still resolve under rec's alias.
+// The statement is copied along the path; q itself is left as it was.
+func renameInner(q *sql.SelectStmt, rec, name string) *sql.SelectStmt {
+	out := *q
+	out.From = append([]*sql.TableRef(nil), q.From...)
+	for i, f := range out.From {
+		if f.Sub == nil {
+			continue
+		}
+		sub := *f.Sub
+		sub.From = append([]*sql.TableRef(nil), f.Sub.From...)
+		for k, g := range sub.From {
+			if g.Sub == nil && !g.IsJoin() && g.Name == rec {
+				ref := *g
+				ref.Name, ref.Alias = name, g.DisplayName()
+				sub.From[k] = &ref
+			}
+		}
+		ref := *f
+		ref.Sub = &sub
+		out.From[i] = &ref
+	}
+	return &out
 }
 
 // Run calls the compiled procedure and evaluates the final query.
@@ -171,15 +224,22 @@ func (p *Program) runInto(s *sql.SelectStmt, section string, set *ra.TupleSet) (
 	if err != nil {
 		return nil, nil, err
 	}
-	if plan != nil {
-		if cur, ok := p.plans[section]; ok {
-			cur.Merge(plan)
-		} else {
-			p.plans[section] = plan
-			p.planOrder = append(p.planOrder, section)
-		}
-	}
+	p.addPlan(section, plan)
 	return r, fused, nil
+}
+
+// addPlan merges an analyzed statement's plan into its section; plan is nil
+// outside analyze mode.
+func (p *Program) addPlan(section string, plan *obs.PlanNode) {
+	if plan == nil {
+		return
+	}
+	if cur, ok := p.plans[section]; ok {
+		cur.Merge(plan)
+	} else {
+		p.plans[section] = plan
+		p.planOrder = append(p.planOrder, section)
+	}
 }
 
 // AnalysisSection is one subquery's merged plan tree within an Analysis.
@@ -435,6 +495,22 @@ func (p *Program) initRec(ctx *psm.Ctx) error {
 			return err
 		}
 	}
+	// The union-by-update branch: Δ_1 is the seed, and both the guard and
+	// the keyed merge key R on its one union-by-update column, through one
+	// key index over R's rows.
+	p.merge, p.ubuDelta, p.guardFull = nil, acc, false
+	if len(w.UBUCols) == 1 {
+		key := sch.IndexOf(w.UBUCols[0])
+		if key < 0 {
+			return fmt.Errorf("withplus: union by update key %q is not a column of %s", w.UBUCols[0], w.RecName)
+		}
+		cur, err := p.eng.Rel(w.RecName)
+		if err != nil {
+			return err
+		}
+		p.merge = &sql.UBUMerge{Table: w.RecName, Key: key, Index: ra.NewKeyIndex(cur, key)}
+		p.guardFull = p.guardQuery != nil && !p.merge.Index.Unique()
+	}
 	return nil
 }
 
@@ -484,104 +560,18 @@ func (p *Program) stepBranch(ctx *psm.Ctx, i int, br sql.WithBranch) error {
 		return err
 	}
 	start := time.Now()
-	if p.branchDelta[i] {
-		// Frontier rewrite: bind the recursive relation's name to the Δ
-		// working table for this evaluation only, so every scan of R in the
-		// branch reads last iteration's new rows instead of all of R.
-		d, err := p.eng.Rel(p.deltaTab)
-		if err != nil {
-			return err
-		}
-		p.exec.Override[w.RecName] = d
-		p.exec.Delta[w.RecName] = true
-		defer func() {
-			delete(p.exec.Override, w.RecName)
-			delete(p.exec.Delta, w.RecName)
-		}()
-	}
-	var set *ra.TupleSet
-	if w.Ops[i-1] != sql.WithUnionByUpdate {
-		set = p.recSet
-	}
-	q, fused, err := p.runInto(br.Query, fmt.Sprintf("recursive subquery Q%d", i+1), set)
-	if err != nil {
-		return err
-	}
-	if fused != nil {
-		// The statement's rows, as the join the kernel replaced counts them.
-		ctx.SetRows(fused.Candidates)
+	var delta *relation.Relation
+	var err error
+	if w.Ops[i-1] == sql.WithUnionByUpdate {
+		delta, err = p.stepUBU(ctx, i, br)
 	} else {
-		ctx.SetRows(int64(q.Len()))
+		delta, err = p.stepUnion(ctx, i, br)
 	}
-	before, err := p.eng.Rel(w.RecName)
 	if err != nil {
 		return err
 	}
-	changed := false
-	deltaRows := 0
-	switch w.Ops[i-1] {
-	case sql.WithUnionByUpdate:
-		// The engine's UBU reports the changed-row delta directly — no
-		// cloned previous image, no full-vector compare.
-		var ubuDelta *relation.Relation
-		if len(w.UBUCols) == 0 {
-			// Attribute-less form: replace R wholesale (DROP/ALTER).
-			ubuDelta, err = p.eng.UnionByUpdate(w.RecName, retag(q, before.Sch), nil, ra.UBUReplace)
-		} else {
-			keys := make([]int, len(w.UBUCols))
-			for ki, c := range w.UBUCols {
-				idx := before.Sch.IndexOf(c)
-				if idx < 0 {
-					return fmt.Errorf("withplus: union by update key %q is not a column of %s", c, w.RecName)
-				}
-				keys[ki] = idx
-			}
-			ubuDelta, err = p.eng.UnionByUpdate(w.RecName, retag(q, before.Sch), keys, ra.UBUFullOuter)
-		}
-		if err != nil {
-			return err
-		}
-		deltaRows = ubuDelta.Len()
-		changed = deltaRows > 0
-	default:
-		// union / union all accumulate; the with+ implementation is
-		// semi-naive (Exp-C): only rows not already in R are appended. The
-		// seeded distinct-set remembers R across iterations, so the
-		// Difference costs O(|q|) probes, not O(|R|) rebuild work, and it
-		// collapses q's duplicates itself. The frontier kernel did both
-		// already when it ran. A cycle is a row of q that was in R before
-		// this step; duplicates within q are not one.
-		var delta *relation.Relation
-		old := false
-		switch {
-		case fused != nil:
-			delta, old = retag(q, before.Sch), fused.Old
-		case p.recSet != nil:
-			delta, old = p.recSet.DiffAdd(retag(q, before.Sch))
-		default:
-			dedup := ra.Distinct(retag(q, before.Sch))
-			delta = ra.Difference(dedup, before)
-			old = delta.Len() < dedup.Len()
-		}
-		if old {
-			p.trace.CycleDetected = true
-		}
-		deltaRows = delta.Len()
-		if delta.Len() > 0 {
-			if err := p.eng.AppendInto(w.RecName, delta); err != nil {
-				return err
-			}
-			changed = true
-			if p.anyDelta {
-				if p.pending == nil {
-					p.pending = delta
-				} else {
-					p.pending = ra.UnionAll(p.pending, delta)
-				}
-			}
-		}
-	}
-	if changed {
+	deltaRows := delta.Len()
+	if deltaRows > 0 {
 		p.changed = true
 	}
 	cur, err := p.eng.Rel(w.RecName)
@@ -593,7 +583,135 @@ func (p *Program) stepBranch(ctx *psm.Ctx, i int, br sql.WithBranch) error {
 	p.trace.IterRows = append(p.trace.IterRows, cur.Len())
 	p.trace.DeltaRows = append(p.trace.DeltaRows, deltaRows)
 	p.deltaSums[i] += int64(deltaRows)
+	if p.afterStep != nil {
+		p.afterStep(cur, delta)
+	}
 	return nil
+}
+
+// stepUBU evaluates the union-by-update branch and merges its rows into R —
+// through the keyed merge when the branch's plan takes it (sql.RunUBU), else
+// by the engine's union-by-update — and returns the rows of R it changed.
+// Under guarded Δ the branch's inner reference reads the rows the previous
+// step changed.
+func (p *Program) stepUBU(ctx *psm.Ctx, i int, br sql.WithBranch) (*relation.Relation, error) {
+	w := p.With
+	query := br.Query
+	if p.guardQuery != nil && !p.guardFull {
+		query = p.guardQuery
+		p.exec.Override[p.deltaTab] = p.ubuDelta
+		p.exec.Delta[p.deltaTab] = true
+		defer func() {
+			delete(p.exec.Override, p.deltaTab)
+			delete(p.exec.Delta, p.deltaTab)
+		}()
+	}
+	q, plan, merged, err := p.exec.RunUBU(query, p.merge, p.analyze)
+	if err != nil {
+		return nil, err
+	}
+	p.addPlan(fmt.Sprintf("recursive subquery Q%d", i+1), plan)
+	if merged != nil {
+		// The statement's rows, as the join the merge replaced counts them.
+		ctx.SetRows(int64(merged.Rows))
+		p.ubuDelta = merged.Delta
+		return merged.Delta, nil
+	}
+	ctx.SetRows(int64(q.Len()))
+	before, err := p.eng.Rel(w.RecName)
+	if err != nil {
+		return nil, err
+	}
+	// The engine's UBU reports the changed-row delta directly — no cloned
+	// previous image, no full-vector compare.
+	var delta *relation.Relation
+	if len(w.UBUCols) == 0 {
+		// Attribute-less form: replace R wholesale (DROP/ALTER).
+		delta, err = p.eng.UnionByUpdate(w.RecName, retag(q, before.Sch), nil, ra.UBUReplace)
+	} else {
+		keys := make([]int, len(w.UBUCols))
+		for ki, c := range w.UBUCols {
+			idx := before.Sch.IndexOf(c)
+			if idx < 0 {
+				return nil, fmt.Errorf("withplus: union by update key %q is not a column of %s", c, w.RecName)
+			}
+			keys[ki] = idx
+		}
+		delta, err = p.eng.UnionByUpdate(w.RecName, retag(q, before.Sch), keys, ra.UBUFullOuter)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.ubuDelta = delta
+	return delta, nil
+}
+
+// stepUnion evaluates a union or union all branch and appends its new rows
+// to R, returning them. The with+ implementation is semi-naive (Exp-C):
+// only rows not already in R are appended. The seeded distinct-set
+// remembers R across iterations, so the Difference costs O(|q|) probes, not
+// O(|R|) rebuild work, and it collapses q's duplicates itself. The frontier
+// kernel did both already when it ran. A cycle is a row of q that was in R
+// before this step; duplicates within q are not one.
+func (p *Program) stepUnion(ctx *psm.Ctx, i int, br sql.WithBranch) (*relation.Relation, error) {
+	w := p.With
+	if p.branchDelta[i] {
+		// Frontier rewrite: bind the recursive relation's name to the Δ
+		// working table for this evaluation only, so every scan of R in the
+		// branch reads last iteration's new rows instead of all of R.
+		d, err := p.eng.Rel(p.deltaTab)
+		if err != nil {
+			return nil, err
+		}
+		p.exec.Override[w.RecName] = d
+		p.exec.Delta[w.RecName] = true
+		defer func() {
+			delete(p.exec.Override, w.RecName)
+			delete(p.exec.Delta, w.RecName)
+		}()
+	}
+	q, fused, err := p.runInto(br.Query, fmt.Sprintf("recursive subquery Q%d", i+1), p.recSet)
+	if err != nil {
+		return nil, err
+	}
+	if fused != nil {
+		// The statement's rows, as the join the kernel replaced counts them.
+		ctx.SetRows(fused.Candidates)
+	} else {
+		ctx.SetRows(int64(q.Len()))
+	}
+	before, err := p.eng.Rel(w.RecName)
+	if err != nil {
+		return nil, err
+	}
+	var delta *relation.Relation
+	old := false
+	switch {
+	case fused != nil:
+		delta, old = retag(q, before.Sch), fused.Old
+	case p.recSet != nil:
+		delta, old = p.recSet.DiffAdd(retag(q, before.Sch))
+	default:
+		dedup := ra.Distinct(retag(q, before.Sch))
+		delta = ra.Difference(dedup, before)
+		old = delta.Len() < dedup.Len()
+	}
+	if old {
+		p.trace.CycleDetected = true
+	}
+	if delta.Len() > 0 {
+		if err := p.eng.AppendInto(w.RecName, delta); err != nil {
+			return nil, err
+		}
+		if p.anyDelta {
+			if p.pending == nil {
+				p.pending = delta
+			} else {
+				p.pending = ra.UnionAll(p.pending, delta)
+			}
+		}
+	}
+	return delta, nil
 }
 
 // retag gives the query result the recursive relation's schema so union

@@ -93,6 +93,13 @@ go test ./internal/withplus ./internal/sql -run 'Frontier' -count=1
 go test -race ./internal/withplus ./internal/sql -run 'Frontier' -count=1
 go test ./graphsql -run 'ExplainAnalyzeGolden|WithObserverCollectsSpans' -count=1
 
+echo "== ubu-delta smoke (guarded Δ + keyed merge vs full evaluation, per iteration)"
+# Every database of up to two seed rows and two edge rows (the go test
+# default is one edge row), with the two planted mutations it must catch;
+# then the union-by-update differentials under -race.
+go test ./internal/withplus -run 'UBUExhaustive' -count=1 -args -ubu.rows=2
+go test -race ./internal/withplus -run UBU -count=1
+
 echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
 
