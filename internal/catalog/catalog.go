@@ -629,9 +629,13 @@ func (t *Table) materializeLocked() (*relation.Relation, error) {
 	if t.cache != nil {
 		return t.cache, nil
 	}
+	// The scanned rows are the store's own copies (InsertRelation clones
+	// what it stores, UpdateRows takes rows over, a paged store decodes
+	// afresh), and the table replaces rows rather than writing into them,
+	// so the materialization shares them.
 	out := relation.NewWithCap(t.Sch.Qualify(t.Name), t.Store.Len())
 	err := t.Store.Scan(func(tu relation.Tuple) bool {
-		out.Tuples = append(out.Tuples, tu.Clone())
+		out.Tuples = append(out.Tuples, tu)
 		return true
 	})
 	if err != nil {

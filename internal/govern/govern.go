@@ -205,6 +205,49 @@ func (g *Governor) MustStep(n int) {
 	}
 }
 
+// Batch charges one goroutine's loop to a governor in chunks: Step adds to
+// a local count and passes it to MustStep once it reaches checkEvery, so a
+// tight loop pays an integer add per tuple instead of the governor's atomic
+// adds and still polls the context once per cadence. A chunk ends early
+// where the row budget would trip, so a trip reports the count per-tuple
+// MustStep calls report. Flush charges the rest; the total is what
+// per-tuple calls charge.
+type Batch struct {
+	g       *Governor
+	n, room int
+}
+
+// Batch starts a chunked charge against g.
+func (g *Governor) Batch() Batch { return Batch{g: g, room: g.room()} }
+
+// room is how many tuples a Batch may hold back: checkEvery, or the
+// tuples left until the row budget trips.
+func (g *Governor) room() int {
+	if g != nil && g.lim.MaxRows > 0 {
+		if left := g.lim.MaxRows - g.rows.Load() + 1; left < checkEvery {
+			return max(int(left), 1)
+		}
+	}
+	return checkEvery
+}
+
+// Step charges n tuples, aborting as MustStep does.
+func (b *Batch) Step(n int) {
+	b.n += n
+	if b.n >= b.room {
+		b.Flush()
+	}
+}
+
+// Flush charges the tuples stepped since the last charge.
+func (b *Batch) Flush() {
+	if n := b.n; n > 0 {
+		b.n = 0
+		b.g.MustStep(n)
+		b.room = b.g.room()
+	}
+}
+
 // MustOK aborts (as MustStep does) if the statement has already failed —
 // the post-wait check a parallel driver runs after its workers drained.
 func (g *Governor) MustOK() {

@@ -198,3 +198,40 @@ func TestGovernorsIndependent(t *testing.T) {
 		t.Fatalf("generous governor charged %d bytes, want 1000", got)
 	}
 }
+
+// TestBatchChargesAsPerTupleSteps: a Batch charges the total per-tuple
+// MustStep calls charge, trips a row budget with the same count, and polls
+// a cancelled context within one cadence.
+func TestBatchChargesAsPerTupleSteps(t *testing.T) {
+	run := func(g *Governor, n int, batched bool) (err error) {
+		defer RecoverTo(&err)
+		b := g.Batch()
+		for i := 0; i < n; i++ {
+			if batched {
+				b.Step(1)
+			} else {
+				g.MustStep(1)
+			}
+		}
+		b.Flush()
+		return nil
+	}
+	for _, lim := range []int64{0, 1, 7, checkEvery - 1, checkEvery, 3*checkEvery + 5} {
+		for _, n := range []int{0, 1, 7, checkEvery, 4*checkEvery + 3} {
+			per, batch := New(context.Background(), Limits{MaxRows: lim}), New(context.Background(), Limits{MaxRows: lim})
+			perErr, batchErr := run(per, n, false), run(batch, n, true)
+			if fmt.Sprint(perErr) != fmt.Sprint(batchErr) || per.Rows() != batch.Rows() {
+				t.Errorf("limit %d, %d tuples: per-tuple %v (%d rows), batched %v (%d rows)", lim, n, perErr, per.Rows(), batchErr, batch.Rows())
+			}
+			per.Close()
+			batch.Close()
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	g := New(ctx, Limits{})
+	defer g.Close()
+	cancel()
+	if err := run(g, checkEvery, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled within one cadence, got %v", err)
+	}
+}

@@ -24,16 +24,13 @@ import (
 // KeyIndex maps the values of one key column of a relation to row positions.
 // It is the keyed merge's state across iterations: built once over R's
 // materialization and valid for as long as R's rows are updated in place
-// (Covers), so a merge step costs O(|s|), not O(|R|). Keys compare by
-// value.Equal, as a union-by-update's do; a NaN key is a key of its own that
-// nothing looks up. When every key is a small non-negative integral number
-// (node IDs) the map is one dense array; otherwise it hashes.
+// (Covers), so a merge step costs O(|s|), not O(|R|). Rows are found through
+// a relation.HashIndex on the column, so keys compare by value.Equal, as a
+// union-by-update's do, and node IDs take its dense layout.
 type KeyIndex struct {
-	rel    *relation.Relation
-	col    int
+	idx    *relation.HashIndex
+	col    []int
 	unique bool
-	dense  []int32            // dense[k] = row+1 of the key k, 0 for none
-	hashed map[uint64][]int32 // value.Hash → rows, when not dense
 	// stamp[p] == gen marks R row p as hit by this merge's s rows, so a
 	// second hit is found in O(1) without clearing an |R| array per step;
 	// slot[p] is then where the merge keeps the row's new value.
@@ -44,71 +41,31 @@ type KeyIndex struct {
 
 // NewKeyIndex indexes r's column col.
 func NewKeyIndex(r *relation.Relation, col int) *KeyIndex {
-	k := &KeyIndex{rel: r, col: col, unique: true, stamp: make([]uint32, r.Len()), slot: make([]int32, r.Len())}
-	maxKey, nulls := int64(-1), 0
-	for _, t := range r.Tuples {
-		v := t[col]
-		if v.IsNull() {
-			nulls++
-			continue
-		}
-		id, ok := relation.DenseKey(v)
-		if !ok || id < 0 || id > int64(4*r.Len()+1024) {
-			maxKey = -2
-			break
-		}
-		maxKey = max(maxKey, id)
-	}
-	// Two NULL keys are one key under value.Equal.
-	k.unique = nulls < 2
-	if maxKey >= -1 {
-		k.dense = make([]int32, maxKey+1)
-		for row, t := range r.Tuples {
-			if v := t[col]; !v.IsNull() {
-				id, _ := relation.DenseKey(v)
-				if k.dense[id] != 0 {
-					k.unique = false
-				}
-				k.dense[id] = int32(row) + 1
-			}
-		}
-		return k
-	}
-	k.hashed = make(map[uint64][]int32, r.Len())
+	k := &KeyIndex{idx: relation.BuildHashIndex(r, []int{col}), col: []int{col}, unique: true, stamp: make([]uint32, r.Len()), slot: make([]int32, r.Len())}
+	// Unique: every row is the first of its key (NULL included: two
+	// NULL-keyed rows share one; a NaN key matches no row, itself neither).
 	for row, t := range r.Tuples {
-		if v := t[col]; !v.IsNull() {
-			if _, found := k.lookup(v); found {
-				k.unique = false
-			}
-			h := v.Hash()
-			k.hashed[h] = append(k.hashed[h], int32(row))
+		if first, ok := k.lookup(t, k.col); ok && first != int32(row) {
+			k.unique = false
+			break
 		}
 	}
 	return k
 }
 
-// lookup returns the first row whose key equals v (value.Equal); v is not
-// NULL.
-func (k *KeyIndex) lookup(v value.Value) (int32, bool) {
-	if k.hashed == nil {
-		id, ok := relation.DenseKey(v)
-		if !ok || uint64(id) >= uint64(len(k.dense)) || k.dense[id] == 0 {
-			return 0, false
-		}
-		return k.dense[id] - 1, true
-	}
-	for _, row := range k.hashed[v.Hash()] {
-		if k.rel.Tuples[row][k.col].Equal(v) {
-			return row, true
-		}
-	}
-	return 0, false
+// lookup returns the first row whose key equals t's column cols[0].
+func (k *KeyIndex) lookup(t relation.Tuple, cols []int) (row int32, found bool) {
+	k.idx.ProbeEach(t, cols, func(r int) bool {
+		row, found = int32(r), true
+		return false
+	})
+	return row, found
 }
 
 // Covers reports whether the index was built over r's rows: the same
 // backing rows, which an in-place update keeps and any rewrite replaces.
 func (k *KeyIndex) Covers(r *relation.Relation, col int) bool {
-	return k.col == col && relation.SameRows(k.rel, r)
+	return k.col[0] == col && relation.SameRows(k.idx.Rel(), r)
 }
 
 // Unique reports whether no two rows share a key under value.Equal (NULL
@@ -185,11 +142,11 @@ func (k *KeyIndex) Merge(r, s *relation.Relation, spec MergeSpec) (res MergeResu
 	// Match pass: each s row's R row, before anything is evaluated, so a
 	// second hit declines with no work wasted.
 	hits := make([]int32, s.Len())
+	right := []int{spec.RightKey}
 	for i, st := range s.Tuples {
-		key := st[spec.RightKey]
 		row, found := int32(0), false
-		if !key.IsNull() {
-			row, found = k.lookup(key)
+		if !st[spec.RightKey].IsNull() {
+			row, found = k.lookup(st, right)
 		}
 		if !found {
 			hits[i] = -1

@@ -9,7 +9,7 @@ import (
 	"repro/internal/value"
 )
 
-// TestKeyIndexLookup: the dense and the hashed index find a key's row under
+// TestKeyIndexLookup: the index finds a key's row under
 // value.Equal — an integral float finds the integer — never find NULL or
 // NaN, and report two rows sharing a key (two NULLs included) as not unique.
 func TestKeyIndexLookup(t *testing.T) {
@@ -25,18 +25,17 @@ func TestKeyIndexLookup(t *testing.T) {
 		name   string
 		keys   []value.Value
 		unique bool
-		dense  bool
 	}{
-		{"dense ints", []value.Value{value.Int(3), value.Int(0), value.Float(7), value.Null}, true, true},
-		{"floats and a NaN", []value.Value{value.Float(0.5), value.Int(2), nan, nan}, true, false},
-		{"strings", []value.Value{value.Str("a"), value.Str("b")}, true, false},
-		{"Int and Float alike", []value.Value{value.Int(2), value.Float(2)}, false, true},
-		{"two NULLs", []value.Value{value.Int(1), value.Null, value.Null}, false, true},
+		{"dense ints", []value.Value{value.Int(3), value.Int(0), value.Float(7), value.Null}, true},
+		{"floats and a NaN", []value.Value{value.Float(0.5), value.Int(2), nan, nan}, true},
+		{"strings", []value.Value{value.Str("a"), value.Str("b")}, true},
+		{"Int and Float alike", []value.Value{value.Int(2), value.Float(2)}, false},
+		{"two NULLs", []value.Value{value.Int(1), value.Null, value.Null}, false},
 	} {
 		r := rel(c.keys...)
 		k := NewKeyIndex(r, 0)
-		if k.Unique() != c.unique || (k.dense != nil) != c.dense || !k.Covers(r, 0) {
-			t.Errorf("%s: unique %v dense %v covers %v", c.name, k.Unique(), k.dense != nil, k.Covers(r, 0))
+		if k.Unique() != c.unique || !k.Covers(r, 0) {
+			t.Errorf("%s: unique %v covers %v", c.name, k.Unique(), k.Covers(r, 0))
 		}
 		if !c.unique {
 			continue
@@ -44,14 +43,14 @@ func TestKeyIndexLookup(t *testing.T) {
 		for row, key := range c.keys {
 			got, found := int32(0), false
 			if !key.IsNull() {
-				got, found = k.lookup(key)
+				got, found = k.lookup(relation.Tuple{key}, []int{0})
 			}
 			nanKey := key.K == value.KindFloat && math.IsNaN(key.F)
 			if found == (key.IsNull() || nanKey) || found && int(got) != row {
 				t.Errorf("%s: lookup %v = %d %v, want row %d", c.name, key, got, found, row)
 			}
 		}
-		if _, found := k.lookup(value.Int(99)); found {
+		if _, found := k.lookup(relation.Tuple{value.Int(99)}, []int{0}); found {
 			t.Errorf("%s: found an absent key", c.name)
 		}
 	}

@@ -266,7 +266,7 @@ func unionByUpdate(r, s *relation.Relation, keyCols []int, impl UBUImpl, gov *go
 // s rows no r row matched — the rows, and the row order, of FullOuterJoin
 // followed by a coalescing scan, without materializing the joined relation.
 // The governor is charged the same rows as that two-pass form: one step per
-// r and s row plus one per output row.
+// r and s row plus one per output row, in chunks (govern.Batch).
 //
 // With wantDelta it also collects the rows the coalesce actually changed:
 // matched rows whose coalesced values differ from the r side (SameRow: a NaN
@@ -290,11 +290,12 @@ func ubuFullOuter(r, s *relation.Relation, keyCols []int, gov *govern.Governor, 
 	// row yields at least one output row, so the first chunk fills.
 	var cells []value.Value
 	pad := make(relation.Tuple, arity)
+	steps := gov.Batch()
 	// emit appends coalesce(st, rt) — st or rt is nil for an unmatched row —
 	// and records it in the delta when it differs from the r side (NULL
 	// padding for an unmatched s row).
 	emit := func(rt, st relation.Tuple) {
-		gov.MustStep(1)
+		steps.Step(1)
 		if len(cells) < arity {
 			cells = make([]value.Value, rows*arity)
 		}
@@ -318,7 +319,7 @@ func ubuFullOuter(r, s *relation.Relation, keyCols []int, gov *govern.Governor, 
 		}
 	}
 	for _, rt := range r.Tuples {
-		gov.MustStep(1)
+		steps.Step(1)
 		matchedAny := false
 		idx.ProbeEach(rt, keyCols, func(row int) bool {
 			matchedAny = true
@@ -331,11 +332,12 @@ func ubuFullOuter(r, s *relation.Relation, keyCols []int, gov *govern.Governor, 
 		}
 	}
 	for i, st := range s.Tuples {
-		gov.MustStep(1)
+		steps.Step(1)
 		if !matched[i] {
 			emit(nil, st)
 		}
 	}
+	steps.Flush()
 	return out, delta
 }
 
@@ -355,10 +357,12 @@ func ubuUpdateFrom(r, s *relation.Relation, keyCols []int, checkDup bool, gov *g
 		seen = relation.New(s.Sch.Project(keyCols))
 		seenIdx = relation.BuildHashIndex(seen, allIdx(len(keyCols)))
 	}
+	steps := gov.Batch()
 	for _, st := range s.Tuples {
-		gov.MustStep(1)
+		steps.Step(1)
 		if checkDup {
 			if seenIdx.Contains(st, keyCols) {
+				steps.Flush()
 				return nil, nil, ErrDuplicateSource
 			}
 			key := make(relation.Tuple, len(keyCols))
@@ -389,5 +393,6 @@ func ubuUpdateFrom(r, s *relation.Relation, keyCols []int, checkDup bool, gov *g
 			delta.Tuples = append(delta.Tuples, st.Clone())
 		}
 	}
+	steps.Flush()
 	return out, delta, nil
 }

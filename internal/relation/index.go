@@ -7,19 +7,34 @@ import (
 	"repro/internal/value"
 )
 
-// HashIndex maps the hash of a key-column subset to the rows holding each
-// key. It is the access structure behind hash joins, semi-joins, anti-joins,
-// and union-by-update via MERGE.
+// HashIndex maps the values of a key-column subset to the rows holding
+// each key. It is the access structure behind hash joins, semi-joins,
+// anti-joins, group-by partitioning and union-by-update.
 //
-// Each bucket entry carries the first key column inline next to the row
-// number, so the common single-column probe compares against contiguous
-// memory instead of chasing rel.Tuples[row] — two dependent random loads —
-// per candidate. Multi-column keys check the inline value first and fall
-// back to EqualOn for the remaining columns only when it matches.
+// An index on one column whose keys are all NULL or dense (denseKey, the
+// largest within denseFits with indexFloor) chains its rows by key in arrays: head and tail
+// hold each key's first and last row, next each row's successor with the
+// same key, and NULL-keyed rows form one chain of their own (value.Equal
+// matches NULL to NULL; joins skip NULL probe keys themselves through
+// Tuple.NullOn). A probe is one array load and a walk in row order, and a
+// build allocates three int32 arrays — at most 2·(denseSlack·n+indexFloor)
+// + n entries for n rows — instead of a bucket per key.
+//
+// Every other key set hashes into buckets. Each bucket entry carries the
+// first key column inline next to the row number, so the common
+// single-column probe compares against contiguous memory instead of chasing
+// rel.Tuples[row] — two dependent random loads — per candidate. Multi-column
+// keys check the inline value first and fall back to EqualOn for the
+// remaining columns only when it matches.
 type HashIndex struct {
-	rel     *Relation
-	cols    []int
-	buckets map[uint64][]bucketEntry
+	rel  *Relation
+	cols []int
+	// The dense layout, while buckets is nil. Rows are stored +1, so 0
+	// ends a chain.
+	head, tail         []int32 // per dense key: its first and last row
+	next               []int32 // per row: the next row with the same key
+	nullHead, nullTail int32   // the NULL-keyed rows
+	buckets            map[uint64][]bucketEntry
 }
 
 // bucketEntry is one indexed row plus its first key column.
@@ -38,18 +53,81 @@ func (idx *HashIndex) entryFor(row int) bucketEntry {
 	return e
 }
 
+// The dense layout's planted faults. indexTestMode names the one planted:
+// a constant "" in every build but the hashindexfaults-tagged one that
+// hashindex_faults_test.go runs in, so the checks below compile away.
+const (
+	mutateFractionSlot = "dense slot for a non-integral key"
+	mutateReverseChain = "chain in reverse row order"
+	mutateNullDropped  = "NULL chain dropped"
+)
+
 // BuildHashIndex indexes rel on the given key columns.
 func BuildHashIndex(rel *Relation, cols []int) *HashIndex {
-	idx := &HashIndex{
-		rel:     rel,
-		cols:    cols,
-		buckets: make(map[uint64][]bucketEntry, distinctHint(rel, cols)),
+	idx := &HashIndex{rel: rel, cols: cols}
+	size, ok := denseSize(rel, cols)
+	if !ok {
+		idx.toBuckets(rel.Len())
+		return idx
 	}
-	for i, t := range rel.Tuples {
-		h := t.HashOn(cols)
-		idx.buckets[h] = append(idx.buckets[h], idx.entryFor(i))
+	idx.head = make([]int32, size)
+	idx.tail = make([]int32, size)
+	idx.next = make([]int32, rel.Len())
+	// Walking the rows backwards and pushing each onto the front of its
+	// chain leaves every chain in row order.
+	i, end, step := rel.Len()-1, -1, -1
+	if indexTestMode == mutateReverseChain {
+		i, end, step = 0, rel.Len(), 1
+	}
+	for ; i != end; i += step {
+		head, tail := &idx.nullHead, &idx.nullTail
+		if k := rel.Tuples[i][cols[0]]; !k.IsNull() {
+			id, _ := denseKey(k)
+			head, tail = &idx.head[id], &idx.tail[id]
+		} else if indexTestMode == mutateNullDropped {
+			continue
+		}
+		if *tail == 0 {
+			*tail = int32(i) + 1
+		}
+		idx.next[i] = *head
+		*head = int32(i) + 1
 	}
 	return idx
+}
+
+// denseSize returns the dense layout's array size for an index of rel on
+// cols — the largest key + 1 — and whether the layout applies: one key
+// column whose every value is NULL or a dense key within denseFits.
+func denseSize(rel *Relation, cols []int) (int, bool) {
+	if len(cols) != 1 || rel.Len() >= math.MaxInt32 {
+		return 0, false
+	}
+	maxID := int64(-1)
+	for _, t := range rel.Tuples {
+		k := t[cols[0]]
+		if k.IsNull() {
+			continue
+		}
+		id, ok := denseKey(k)
+		if !ok || !denseFits(id, rel.Len(), indexFloor) {
+			return 0, false
+		}
+		maxID = max(maxID, id)
+	}
+	return int(maxID + 1), true
+}
+
+// toBuckets indexes rows [0, n) in buckets, leaving the dense layout for
+// good.
+func (idx *HashIndex) toBuckets(n int) {
+	idx.head, idx.tail, idx.next = nil, nil, nil
+	idx.nullHead, idx.nullTail = 0, 0
+	idx.buckets = make(map[uint64][]bucketEntry, distinctHint(idx.rel, idx.cols))
+	for i, t := range idx.rel.Tuples[:n] {
+		h := t.HashOn(idx.cols)
+		idx.buckets[h] = append(idx.buckets[h], idx.entryFor(i))
+	}
 }
 
 // hintSample is how many leading rows distinctHint inspects.
@@ -111,6 +189,24 @@ func (idx *HashIndex) Probe(probe Tuple, probeCols []int) []int {
 // allocates nothing, which matters in join and union-by-update inner loops
 // that probe once per input tuple.
 func (idx *HashIndex) ProbeEach(probe Tuple, probeCols []int, f func(row int) bool) {
+	if idx.buckets == nil {
+		// Every key is NULL or dense, so a probe key that maps to no slot
+		// — NaN, non-integral, out of range, a string or a bool — equals
+		// no key.
+		k := probe[probeCols[0]]
+		var r int32
+		if id, ok := denseKey(k); ok && uint64(id) < uint64(len(idx.head)) {
+			r = idx.head[id]
+		} else if k.IsNull() {
+			r = idx.nullHead
+		}
+		for ; r != 0; r = idx.next[r-1] {
+			if !f(int(r - 1)) {
+				return
+			}
+		}
+		return
+	}
 	h := probe.HashOn(probeCols)
 	var p0 value.Value
 	if len(probeCols) > 0 {
@@ -139,11 +235,38 @@ func (idx *HashIndex) Contains(probe Tuple, probeCols []int) bool {
 	return found
 }
 
-// Add indexes one more row (used when the underlying relation grows, e.g.
-// during MERGE-style union-by-update).
+// Add indexes the relation's next row — rows are added in order, each
+// once — when the relation grows, e.g. during MERGE-style union-by-update.
+// The dense layout grows its arrays while the row's key keeps it dense, and
+// turns into buckets, for good, on the first key that does not.
 func (idx *HashIndex) Add(row int) {
-	h := idx.rel.Tuples[row].HashOn(idx.cols)
-	idx.buckets[h] = append(idx.buckets[h], idx.entryFor(row))
+	if idx.buckets != nil {
+		h := idx.rel.Tuples[row].HashOn(idx.cols)
+		idx.buckets[h] = append(idx.buckets[h], idx.entryFor(row))
+		return
+	}
+	k := idx.rel.Tuples[row][idx.cols[0]]
+	id, ok := denseKey(k)
+	if !k.IsNull() && !(ok && denseFits(id, row+1, indexFloor)) || row >= math.MaxInt32 {
+		idx.toBuckets(row + 1)
+		return
+	}
+	head, tail := &idx.nullHead, &idx.nullTail
+	if !k.IsNull() {
+		if id >= int64(len(idx.head)) {
+			size := min(max(id+1, 2*int64(len(idx.head))), denseBound(row+1, indexFloor))
+			idx.head = append(idx.head, make([]int32, size-int64(len(idx.head)))...)
+			idx.tail = append(idx.tail, make([]int32, size-int64(len(idx.tail)))...)
+		}
+		head, tail = &idx.head[id], &idx.tail[id]
+	}
+	idx.next = append(idx.next, 0)
+	if *tail == 0 {
+		*head = int32(row) + 1
+	} else {
+		idx.next[*tail-1] = int32(row) + 1
+	}
+	*tail = int32(row) + 1
 }
 
 // ColumnDict dictionary-encodes one column of a relation: Ords[row] is the
@@ -175,9 +298,26 @@ type ColumnDict struct {
 	floatKeys bool
 }
 
-// denseSlack bounds the dense map's size relative to the number of distinct
-// keys, so a few huge IDs cannot blow the array up.
+// denseSlack and a floor bound every dense key array — the dense
+// HashIndex's chains, ColumnDict's ordinal map — relative to the n entries
+// it holds (rows or distinct keys), so a few huge IDs cannot blow it up.
 const denseSlack = 4
+
+// The floors. A ColumnDict is built once per cached column, so a handful
+// of keys may take 1 024 slots. A HashIndex is built per call, often over a
+// few rows (a small Δ, a semi-join's build side), so its floor is small:
+// its chains then never take more than a bucket map's memory plus 1 KiB.
+const (
+	dictFloor  = 1024
+	indexFloor = 64
+)
+
+// denseBound is the largest dense array kept for n entries.
+func denseBound(n int, floor int64) int64 { return denseSlack*int64(n) + floor }
+
+// denseFits reports whether a dense array for n entries may hold the key
+// id: one that denseKey maps, not negative, below denseBound(n, floor).
+func denseFits(id int64, n int, floor int64) bool { return id >= 0 && id < denseBound(n, floor) }
 
 // BuildColumnDict dictionary-encodes the column.
 func BuildColumnDict(rel *Relation, col int) *ColumnDict {
@@ -226,16 +366,19 @@ func (d *ColumnDict) Extend(rel *Relation) {
 // and spells them as the dictionary does.
 func (d *ColumnDict) FloatKeys() bool { return d.floatKeys }
 
-// DenseKey extracts the dense-map index of a key value: integral numerics
+// denseKey extracts the dense-map index of a key value: integral numerics
 // (Int, or Float with an integral value — value.Equal treats Int(3) and
-// Float(3.0) as the same key) map to their integer; everything else is
-// unmappable.
-func DenseKey(v value.Value) (int64, bool) {
+// Float(3.0), and -0 and 0, as the same key) map to their integer;
+// everything else is unmappable.
+func denseKey(v value.Value) (int64, bool) {
 	switch v.K {
 	case value.KindInt:
 		return v.I, true
 	case value.KindFloat:
 		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F < math.MaxInt64 {
+			return int64(v.F), true
+		}
+		if indexTestMode == mutateFractionSlot && !math.IsNaN(v.F) && math.Abs(v.F) < math.MaxInt64 {
 			return int64(v.F), true
 		}
 	}
@@ -244,23 +387,19 @@ func DenseKey(v value.Value) (int64, bool) {
 
 // extendDense maps the keys added since prevKeys (all of them on the
 // build), switching the dictionary to bucket lookups for good when a new
-// key is non-integral, negative, or would make the array too sparse.
+// key does not fit the dense array (denseFits).
 func (d *ColumnDict) extendDense(prevKeys int) {
 	if d.sparse {
 		return
 	}
 	maxID := int64(len(d.dense)) - 1
 	for _, k := range d.Keys[prevKeys:] {
-		id, ok := DenseKey(k)
-		if !ok || id < 0 {
+		id, ok := denseKey(k)
+		if !ok || !denseFits(id, len(d.Keys), dictFloor) {
 			d.dense, d.sparse = nil, true
 			return
 		}
 		maxID = max(maxID, id)
-	}
-	if maxID+1 > int64(denseSlack*len(d.Keys)+1024) {
-		d.dense, d.sparse = nil, true
-		return
 	}
 	if maxID+1 > int64(len(d.dense)) {
 		grown := make([]int32, maxID+1)
@@ -268,7 +407,7 @@ func (d *ColumnDict) extendDense(prevKeys int) {
 		d.dense = grown
 	}
 	for ord := prevKeys; ord < len(d.Keys); ord++ {
-		id, _ := DenseKey(d.Keys[ord])
+		id, _ := denseKey(d.Keys[ord])
 		d.dense[id] = int32(ord) + 1
 	}
 }
@@ -282,7 +421,7 @@ func (d *ColumnDict) Lookup(v value.Value) (int32, bool) {
 	if !d.sparse {
 		// Every key is a small non-negative integer, so a value that maps
 		// to no slot equals no key.
-		id, ok := DenseKey(v)
+		id, ok := denseKey(v)
 		if !ok || uint64(id) >= uint64(len(d.dense)) {
 			return 0, false
 		}

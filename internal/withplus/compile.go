@@ -2,6 +2,7 @@ package withplus
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -453,7 +454,9 @@ func (p *Program) initRec(ctx *psm.Ctx) error {
 		if !acc.Sch.UnionCompatible(r.Sch) {
 			return fmt.Errorf("withplus: initialization subqueries disagree on arity (%d vs %d)", acc.Sch.Arity(), r.Sch.Arity())
 		}
-		acc = ra.UnionAll(acc, r)
+		// The branches' rows are concatenated, not cloned: StoreInto copies
+		// what the table keeps, and nothing writes into them.
+		acc = &relation.Relation{Sch: acc.Sch, Tuples: slices.Concat(acc.Tuples, r.Tuples)}
 	}
 	if acc == nil {
 		return fmt.Errorf("withplus: no initialization subquery")

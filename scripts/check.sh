@@ -100,6 +100,15 @@ echo "== ubu-delta smoke (guarded Δ + keyed merge vs full evaluation, per itera
 go test ./internal/withplus -run 'UBUExhaustive' -count=1 -args -ubu.rows=2
 go test -race ./internal/withplus -run UBU -count=1
 
+echo "== hashindex smoke (dense row chains + buckets vs a linear value.Equal scan)"
+# Every relation of up to four rows (the go test default is three) over the
+# key universe, after a build, one Add of each key, and row-by-row Adds, with
+# the three planted dense-layout mutations it must catch (they are compiled
+# in only under the hashindexfaults tag); then the index's, the
+# union-by-updates' and the keyed merge's tests under -race.
+go test -tags hashindexfaults ./internal/relation -run 'HashIndexExhaustive|HashIndexPlantedFaults' -count=1 -args -hashindex.rows=4
+go test -race ./internal/relation ./internal/ra -run 'HashIndex|UBU|UnionByUpdate|KeyIndex' -count=1
+
 echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
 
