@@ -9,7 +9,7 @@ test:
 	go test ./...
 
 # check runs the full verification gate: vet, tests, and a race-detector
-# pass over the morsel-parallel executor packages.
+# pass over the packages concurrent sessions share.
 check:
 	./scripts/check.sh
 

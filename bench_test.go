@@ -227,8 +227,7 @@ func BenchmarkMVJoin(b *testing.B) {
 
 // BenchmarkFusedMVJoin is the ablation for the iteration-aware executor:
 // the materializing EquiJoin+GroupBy plan versus the fused kernel probing a
-// prebuilt (cached) build-side index, serial and morsel-parallel. The fused
-// rows also show what an iteration costs once the index build has been paid
+// prebuilt (cached) build-side index. The fused rows also show what an iteration costs once the index build has been paid
 // (the steady state of every iterative algorithm on the hash profiles).
 func BenchmarkFusedMVJoin(b *testing.B) {
 	g := benchGraph("WG")
@@ -243,21 +242,17 @@ func BenchmarkFusedMVJoin(b *testing.B) {
 		}
 	})
 	idx := relation.BuildHashIndex(eRel, []int{0})
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("fused-workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ra.FusedMVJoin(eRel, vRel, idx, nil, ra.EdgeMat(), ra.NodeVec(), 1, sr, w, nil, nil)
-			}
-		})
-	}
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ra.FusedMVJoin(eRel, vRel, idx, nil, ra.EdgeMat(), ra.NodeVec(), 1, sr, nil, nil)
+		}
+	})
 	dict := relation.BuildColumnDict(eRel, 1)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("fused-dict-workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ra.FusedMVJoin(eRel, vRel, idx, dict, ra.EdgeMat(), ra.NodeVec(), 1, sr, w, nil, nil)
-			}
-		})
-	}
+	b.Run("fused-dict", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ra.FusedMVJoin(eRel, vRel, idx, dict, ra.EdgeMat(), ra.NodeVec(), 1, sr, nil, nil)
+		}
+	})
 }
 
 // BenchmarkJoinAlgorithms compares the physical joins behind the profiles
@@ -348,28 +343,6 @@ func prepareWith(e *engine.Engine, src string) (interface{ Cleanup() }, error) {
 	}
 	p.Cleanup()
 	return p, nil
-}
-
-// BenchmarkParallelJoin is the ablation for the paper's future-work item
-// "efficient join processing in parallel": serial hash join vs the
-// partitioned probe at increasing worker counts, on a large self-join.
-func BenchmarkParallelJoin(b *testing.B) {
-	d, _ := dataset.ByCode("WG")
-	g := d.Generate(1500, 1)
-	eRel := g.EdgeRelation()
-	spec := ra.EquiJoinSpec{LeftCols: []int{1}, RightCols: []int{0}, Algo: ra.HashJoin}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ra.EquiJoin(eRel, eRel, spec)
-		}
-	})
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ra.EquiJoinParallel(eRel, eRel, spec, w)
-			}
-		})
-	}
 }
 
 // BenchmarkEarlySelection is the ablation for the SQL-level optimization

@@ -32,7 +32,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "dataset generator seed")
 		iters      = flag.Int("iters", 0, "fixed iterations for PR/HITS/LP (0 = paper's 15)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		workers    = flag.Int("workers", 1, "morsel-parallel probe workers (1 = serial, paper-faithful)")
 		nodelta    = flag.Bool("nodelta", false, "disable delta-driven semi-naive evaluation in WITH+ (A/B baseline for the delta experiment)")
 		nocsr      = flag.Bool("nocsr", false, "disable the CSR adjacency access path (A/B baseline for the csr experiment)")
 		novector   = flag.Bool("novector", false, "disable the vectorized batch kernels (A/B baseline for the vector experiment)")
@@ -44,7 +43,7 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 	)
 	flag.Parse()
-	cfg := exp.Config{Nodes: *nodes, Seed: *seed, Iters: *iters, Workers: *workers, NoDelta: *nodelta, NoCSR: *nocsr, NoVector: *novector, NoWCOJ: *nowcoj, Observe: *observe}
+	cfg := exp.Config{Nodes: *nodes, Seed: *seed, Iters: *iters, NoDelta: *nodelta, NoCSR: *nocsr, NoVector: *novector, NoWCOJ: *nowcoj, Observe: *observe}
 	asCSV = *csv
 	asJSON = *jsonOut
 	if *cpuprofile != "" {

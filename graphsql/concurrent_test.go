@@ -12,9 +12,9 @@ import (
 )
 
 // fingerprint renders an algorithm result byte-for-byte: tab-separated
-// values, one tuple per line, in engine output order. Sessions inherit the
-// root's parallelism (1 by default), so serial and concurrent runs must
-// produce identical bytes, not just identical sets.
+// values, one tuple per line, in engine output order. Every statement runs
+// serially, so serial and concurrent runs must produce identical bytes, not
+// just identical sets.
 func fingerprint(r *Relation) string {
 	if r == nil {
 		return ""

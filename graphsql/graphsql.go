@@ -161,14 +161,6 @@ func (db *DB) Limits() Limits {
 	return db.eng.Limits
 }
 
-// SetParallelism sets the worker count for morsel-parallel probe paths
-// (0 or 1 = serial).
-func (db *DB) SetParallelism(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.eng.Parallelism = n
-}
-
 // Stats returns a point-in-time snapshot of the engine's operator counters
 // (joins, group-bys, index and CSR builds and cache hits, tuples
 // materialized).

@@ -18,8 +18,8 @@ import (
 )
 
 // Counters accumulate execution statistics for experiments and tests. All
-// increments go through atomic adds so the morsel-parallel probe paths are
-// race-clean; read the fields directly only after the operations being
+// increments go through atomic adds, so the counters are race-clean under
+// concurrent use; read the fields directly only after the operations being
 // measured have returned.
 type Counters struct {
 	Joins     int64
@@ -113,12 +113,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 // that a session inherits all of its root's at once (NewSession): a knob
 // added here cannot be forgotten there.
 type PlanKnobs struct {
-	// Parallelism is the worker count for the morsel-parallel probe paths
-	// (fused MV-/MM-join, hash-join probe partitioning). Values <= 1 run
-	// serial, keeping the paper-shape experiments byte-for-byte unchanged;
-	// cmd/bench exposes it as -workers.
-	Parallelism int
-
 	// DisableCSR turns off the CSR adjacency access path: every join that
 	// would extend over a cached CSR probes the hash index instead — the
 	// A/B baseline for cmd/bench -nocsr. Results are byte-identical either
@@ -695,9 +689,7 @@ func (e *Engine) ensureSortedIndex(v *catalog.View, cols []int) (*relation.Sorte
 	return idx, nil
 }
 
-// Join computes the equi-join of two tables under the profile's plan. With
-// Parallelism > 1 and a hash plan, the probe side is partitioned across
-// workers over the shared build-side index.
+// Join computes the equi-join of two tables under the profile's plan.
 func (e *Engine) Join(a, b *catalog.Table, aCols, bCols []int) (out *relation.Relation, err error) {
 	defer govern.RecoverTo(&err)
 	av, err := e.view(a)
@@ -718,11 +710,7 @@ func (e *Engine) Join(a, b *catalog.Table, aCols, bCols []int) (out *relation.Re
 		return nil, err
 	}
 	e.Cnt.add(&e.Cnt.Joins, 1)
-	if e.Parallelism > 1 && spec.Algo == ra.HashJoin {
-		out = ra.EquiJoinParallel(ar, br, spec, e.Parallelism)
-	} else {
-		out = ra.EquiJoin(ar, br, spec)
-	}
+	out = ra.EquiJoin(ar, br, spec)
 	if err := e.ChargeMaterialized(out); err != nil {
 		return nil, err
 	}
@@ -769,7 +757,7 @@ func (e *Engine) MVJoin(a, c *catalog.Table, ac ra.MatCols, cc ra.VecCols, aJoin
 	sch := schema.Schema{{Name: "ID", Type: ar.Sch[aKeep].Type}, {Name: "vw"}}
 	if e.fusible(av, cv) {
 		path := e.mvSide(av.Temp, av.Analyzed, av, aJoin, aKeep, ac.W)
-		out, _, err := e.mvFold(av, path, cr, ac, cc, aJoin, aKeep, sr, e.Parallelism, false, sp)
+		out, _, err := e.mvFold(av, path, cr, ac, cc, aJoin, aKeep, sr, false, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -832,7 +820,7 @@ func (e *Engine) ChooseAggJoinSide(t *catalog.Table, aJoin, aKeep, w int) Access
 // aggregate (min, max or sum over + or *). Rows fold in the join's order —
 // probe row, then block order — so groups come out in the group-by's
 // first-touch order.
-func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, workers int, exact bool, sp *obs.Span) (out *relation.Relation, ok bool, err error) {
+func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, exact bool, sp *obs.Span) (out *relation.Relation, ok bool, err error) {
 	ar := av.Rel
 	if exact && !floatCol(c, cc.W, path == CachedCSR) {
 		return nil, false, nil
@@ -865,9 +853,9 @@ func (e *Engine) mvFold(av *catalog.View, path AccessPath, c *relation.Relation,
 	e.Cnt.add(&e.Cnt.Joins, 1)
 	e.Cnt.add(&e.Cnt.GroupBys, 1)
 	if csr != nil {
-		out = ra.FusedMVJoinCSR(ar, c, csr, cc, sr, workers, e.gov, sp)
+		out = ra.FusedMVJoinCSR(ar, c, csr, cc, sr, e.gov, sp)
 	} else {
-		out = ra.FusedMVJoin(ar, c, idx, dict, ac, cc, aKeep, sr, workers, e.gov, sp)
+		out = ra.FusedMVJoin(ar, c, idx, dict, ac, cc, aKeep, sr, e.gov, sp)
 		if sp != nil {
 			sp.Algo = "fused-hash"
 		}
@@ -896,18 +884,18 @@ func floatCol(r *relation.Relation, col int, ints bool) bool {
 // the named catalog table on c's cc.ID = the table's aJoin, grouped on the
 // table's aKeep with one semiring aggregate ⊕(c.W ⊙ table.ac.W), folded by
 // mvFold over the access path the planner chose (ChooseAggJoinSide) from
-// the statement's view of the table. The kernel runs serially. The executor
-// always passes exact; ok false then means the data is not foldable exactly
-// and the caller runs the join and the group-by instead (exact false folds
-// as MVJoin does — the fault a planner mutation plants). The output is the
-// groups' (key, aggregate) rows; the caller names the columns.
+// the statement's view of the table. The executor always passes exact; ok
+// false then means the data is not foldable exactly and the caller runs the
+// join and the group-by instead (exact false folds as MVJoin does — the
+// fault a planner mutation plants). The output is the groups' (key,
+// aggregate) rows; the caller names the columns.
 func (e *Engine) AggJoin(name string, path AccessPath, c *relation.Relation, ac ra.MatCols, cc ra.VecCols, aJoin, aKeep int, sr semiring.Semiring, exact bool, sp *obs.Span) (out *relation.Relation, ok bool, err error) {
 	defer govern.RecoverTo(&err)
 	v, err := e.viewOf(name)
 	if err != nil {
 		return nil, false, err
 	}
-	return e.mvFold(v, path, c, ac, cc, aJoin, aKeep, sr, 1, exact, sp)
+	return e.mvFold(v, path, c, ac, cc, aJoin, aKeep, sr, exact, sp)
 }
 
 // MMJoin computes the aggregate-join of two matrix tables (Eq. (3)) under
@@ -948,7 +936,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 			if err != nil {
 				return nil, err
 			}
-			out = ra.FusedMMJoinCSR(ar, br, csr, idxOnLeft, ac, bc, aJoin, aKeep, bJoin, bKeep, sr, e.Parallelism, e.gov, sp)
+			out = ra.FusedMMJoinCSR(ar, br, csr, idxOnLeft, ac, bc, aJoin, aKeep, bJoin, bKeep, sr, e.gov, sp)
 			algo = "fused-csr"
 		} else {
 			var idx *relation.HashIndex
@@ -956,7 +944,7 @@ func (e *Engine) MMJoin(a, b *catalog.Table, ac, bc ra.MatCols, aJoin, aKeep, bJ
 			if err != nil {
 				return nil, err
 			}
-			out = ra.FusedMMJoin(ar, br, idx, idxOnLeft, ac, bc, aJoin, aKeep, bJoin, bKeep, sr, e.Parallelism, e.gov, sp)
+			out = ra.FusedMMJoin(ar, br, idx, idxOnLeft, ac, bc, aJoin, aKeep, bJoin, bKeep, sr, e.gov, sp)
 			algo = "fused-hash"
 		}
 		out.Sch = sch
@@ -1183,33 +1171,12 @@ func (e *Engine) aggJoin(l, r *relation.Relation, spec ra.EquiJoinSpec, lW, rW i
 	agg := ra.SemiringAgg(schema.Column{Name: sch[len(groupCols)].Name}, sr, func(t relation.Tuple) (value.Value, error) {
 		return sr.Times(t[lW], t[rW]), nil
 	})
-	out, err := e.groupBySpec(joined, groupCols, agg, sr)
+	out, err := ra.GroupBy(joined, groupCols, []ra.AggSpec{agg})
 	if err != nil {
 		return nil, err
 	}
 	out.Sch = sch
 	return out, nil
-}
-
-// groupBySpec runs the ⊕-group-by of the materializing MV-/MM-join plan,
-// parallel when Parallelism > 1. The aggregate follows the group columns in
-// the output tuples.
-func (e *Engine) groupBySpec(joined *relation.Relation, groupCols []int, agg ra.AggSpec, sr semiring.Semiring) (*relation.Relation, error) {
-	aggCol := len(groupCols)
-	if e.Parallelism > 1 {
-		return ra.SemiringGroupByParallel(joined, groupCols, agg, func(acc, t relation.Tuple) error {
-			a, b := acc[aggCol], t[aggCol]
-			switch {
-			case b.IsNull():
-			case a.IsNull():
-				acc[aggCol] = b
-			default:
-				acc[aggCol] = sr.Plus(a, b)
-			}
-			return nil
-		}, e.Parallelism)
-	}
-	return ra.GroupBy(joined, groupCols, []ra.AggSpec{agg})
 }
 
 // CountJoin charges one join to the execution counters (atomically). The

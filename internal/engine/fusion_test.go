@@ -202,58 +202,6 @@ func TestFusedMatchesLegacyAcrossProfiles(t *testing.T) {
 	}
 }
 
-// TestParallelismMatchesSerial runs the fused path (Oracle-like) and the
-// materializing sort-merge path (PostgreSQL-like) with Parallelism well above
-// 1 and checks against the serial engine.
-func TestParallelismMatchesSerial(t *testing.T) {
-	edges := cycleEdges(40)
-	for _, prof := range []Profile{OracleLike(), PostgresLike(false)} {
-		serial := New(prof)
-		par := New(prof)
-		par.Parallelism = 4
-		var mvS, mvP map[int64]float64
-		for _, e := range []*Engine{serial, par} {
-			if _, err := e.LoadBase("E", edgeRel(edges)); err != nil {
-				t.Fatal(err)
-			}
-			vsch := schema.Schema{{Name: "ID", Type: value.KindInt}, {Name: "vw", Type: value.KindFloat}}
-			if _, err := e.CreateTemp("V", vsch); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.StoreInto("V", nodeRel(40, func(i int) float64 { return float64(i) })); err != nil {
-				t.Fatal(err)
-			}
-			et, _ := e.Cat.Get("E")
-			vt, _ := e.Cat.Get("V")
-			mv, err := e.MVJoin(et, vt, ra.EdgeMat(), ra.NodeVec(), 0, 1, semiring.PlusTimes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e == serial {
-				mvS = mvMap(mv)
-			} else {
-				mvP = mvMap(mv)
-			}
-			// The plain table join takes the partitioned-probe path too.
-			jo, err := e.Join(et, vt, []int{1}, []int{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if jo.Len() != len(edges) {
-				t.Fatalf("parallel join rows = %d, want %d", jo.Len(), len(edges))
-			}
-		}
-		if len(mvS) != len(mvP) {
-			t.Fatalf("%s: group counts differ", prof.Name)
-		}
-		for id, w := range mvS {
-			if math.Abs(mvP[id]-w) > 1e-9 {
-				t.Fatalf("%s: mv[%d] = %g, want %g", prof.Name, id, mvP[id], w)
-			}
-		}
-	}
-}
-
 // TestEnsureTempReshapeDropsStaleState re-creates a temp table with a new
 // shape via EnsureTemp and checks the old table's cached index cannot leak
 // into plans against the new one.

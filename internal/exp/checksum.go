@@ -26,8 +26,8 @@ func TupleHash(tu relation.Tuple) uint64 {
 }
 
 // RelChecksum folds a relation's rows order-independently (XOR of the row
-// hashes) into a fixed-width hex string: morsel-parallel row orderings hash
-// equal, any value difference does not.
+// hashes) into a fixed-width hex string: row orderings hash equal, any
+// value difference does not.
 func RelChecksum(r *relation.Relation) string {
 	var sum uint64
 	for _, tu := range r.Tuples {

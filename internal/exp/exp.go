@@ -66,9 +66,6 @@ type Config struct {
 	Nodes int   // nodes per scaled dataset (default dataset.DefaultBenchNodes)
 	Seed  int64 // generator seed
 	Iters int   // fixed iterations for PR/HITS/LP (paper: 15)
-	// Workers is the engine's morsel-parallel worker count (<= 1: serial,
-	// the paper-faithful shape). cmd/bench exposes it as -workers.
-	Workers int
 	// NoDelta, NoCSR, NoVector and NoWCOJ set the engine's DisableDelta,
 	// DisableCSR, DisableVectorized and DisableWCOJ (documented there). Each
 	// selects the off side of one ablation experiment — delta, csr, vector,
@@ -104,7 +101,6 @@ func profiles() []engine.Profile { return engine.Profiles() }
 // under any of them.
 func newEngine(prof engine.Profile, cfg Config) *engine.Engine {
 	e := engine.New(prof)
-	e.Parallelism = cfg.Workers
 	e.DisableDelta = cfg.NoDelta
 	e.DisableCSR = cfg.NoCSR
 	e.DisableVectorized = cfg.NoVector

@@ -16,7 +16,7 @@ var perfExp = &Experiment{
 	Reps:  3,
 	// The guard also runs it observed: the observability overhead A/B.
 	ObserverAB: true,
-	Columns: []string{"name", "profile", "workers", "iterations", "ms", "joins", "group_bys",
+	Columns: []string{"name", "profile", "iterations", "ms", "joins", "group_bys",
 		"index_builds", "index_cache_hits", "csr_builds", "csr_cache_hits", "tuples_materialized", "spans"},
 	Gate: Rule{Extra: perfTimings},
 	cells: func(cfg Config) ([]cell, error) {

@@ -35,7 +35,6 @@ type Record struct {
 	Name     string `json:"name"`
 	Profile  string `json:"profile"`
 	Dataset  string `json:"dataset,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 	Nodes    int    `json:"nodes,omitempty"`
 	Edges    int    `json:"edges,omitempty"`
 	// Queries is the number of timed executions per repetition (ns_op is per
@@ -185,7 +184,6 @@ func (x *Experiment) runSides(cfgs []Config) ([][]Record, error) {
 			rec := recs[i]
 			rec.Exp = x.Name
 			rec.Off = x.Knob != nil && *x.Knob(&cfg)
-			rec.Workers = cfg.Workers
 			rec.NsOp = best[i].Nanoseconds() / int64(max(rec.Queries, 1))
 			rec.Millis = float64(best[i].Microseconds()) / 1000.0
 			if rec.Statements > 0 {

@@ -101,7 +101,7 @@ func TestDeltaRecordsShape(t *testing.T) {
 // sink saw, an unobserved run's JSON omits the observed/spans fields
 // entirely, and both sides count the same operators.
 func TestPerfRecordsObserveAB(t *testing.T) {
-	small := Config{Nodes: 120, Seed: 1, Iters: 3, Workers: 1}
+	small := Config{Nodes: 120, Seed: 1, Iters: 3}
 	off, err := perfExp.Run(small)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestPerfRecordsObserveAB(t *testing.T) {
 		t.Fatalf("got %d records, want 9", len(off))
 	}
 	for _, r := range off {
-		if r.Exp != "perf" || r.Name == "" || r.Profile == "" || r.Dataset == "" || r.Workers != 1 {
+		if r.Exp != "perf" || r.Name == "" || r.Profile == "" || r.Dataset == "" {
 			t.Errorf("incomplete record: %+v", r)
 		}
 		if r.NsOp <= 0 || r.Iterations <= 0 || r.Joins == 0 {

@@ -76,8 +76,9 @@ const checkEvery = 1024
 
 // Governor governs one statement. All methods are safe on a nil receiver
 // (no-ops returning nil), so operators can checkpoint unconditionally.
-// The counters are atomics: morsel-parallel workers step the same governor
-// concurrently.
+// The counters are atomics, so a governor is safe for concurrent use;
+// operators step it only from the statement's goroutine, where MustStep's
+// abort is recovered.
 type Governor struct {
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -143,7 +144,7 @@ func (g *Governor) fail(err error) error {
 
 // Err returns the statement's failure, if any: a previously tripped budget,
 // or the context's cancellation/deadline error. It performs a full check
-// (no cadence), so it is the right call for per-morsel worker polling.
+// (no cadence).
 func (g *Governor) Err() error {
 	if g == nil {
 		return nil
@@ -175,8 +176,8 @@ func (g *Governor) Check() error {
 }
 
 // Step is the in-loop checkpoint: it charges n tuples against the row
-// budget and polls the context every checkEvery tuples. Workers sharing a
-// governor call it concurrently; an error is sticky for all of them.
+// budget and polls the context every checkEvery tuples. An error is sticky:
+// every later Step returns it.
 func (g *Governor) Step(n int) error {
 	if g == nil {
 		return nil
@@ -197,8 +198,9 @@ func (g *Governor) Step(n int) error {
 
 // MustStep is Step for pure operators that cannot return an error: it
 // aborts the statement by panicking with the governor error, which
-// RecoverTo at the engine boundary converts back into that error. Never
-// call it from a worker goroutine — workers poll Err/Step and drain.
+// RecoverTo at the engine boundary converts back into that error. Call it
+// only on the statement's goroutine: a panic on any other goroutine is not
+// recovered and crashes the process.
 func (g *Governor) MustStep(n int) {
 	if err := g.Step(n); err != nil {
 		Abort(err)
@@ -245,14 +247,6 @@ func (b *Batch) Flush() {
 		b.n = 0
 		b.g.MustStep(n)
 		b.room = b.g.room()
-	}
-}
-
-// MustOK aborts (as MustStep does) if the statement has already failed —
-// the post-wait check a parallel driver runs after its workers drained.
-func (g *Governor) MustOK() {
-	if err := g.Err(); err != nil {
-		Abort(err)
 	}
 }
 

@@ -49,11 +49,6 @@ type Span struct {
 	// fused kernels — the point of fusion.
 	BytesMaterialized int64
 
-	// Workers is the morsel-parallel worker count (0 or 1 = serial) and
-	// Morsels the number of probe morsels dispatched.
-	Workers int
-	Morsels int64
-
 	// BuildDur and ProbeDur split a join's wall time into its build and
 	// probe phases when the operator distinguishes them.
 	BuildDur time.Duration
@@ -68,10 +63,9 @@ type Span struct {
 	Dur   time.Duration
 }
 
-// Sink consumes spans. Span is called from the statement's goroutine only
-// (morsel workers report through their driving operator), but a sink may be
-// shared across statements, so implementations must be safe for concurrent
-// use by multiple statements.
+// Sink consumes spans. Span is called from the statement's goroutine only,
+// but a sink may be shared across statements, so implementations must be
+// safe for concurrent use by multiple statements.
 type Sink interface {
 	Span(sp Span)
 }

@@ -13,14 +13,13 @@
 //
 // Operator inputs are immutable snapshots (catalog materializations clone at
 // the storage boundary — Table.InsertRelation and View materialization copy
-// tuples in and out — and no operator mutates a tuple it did not allocate;
-// the one in-place fold, the parallel group-by merge, clones its accumulator
-// rows first, see parallel.go). Operators may therefore SHARE surviving
-// input tuples in their outputs instead of cloning them — Select, Limit,
-// Distinct and the vectorized kernels do — but must never share the Tuples
-// slice itself (Rename excepted: ρ is explicitly a shallow relabeling
-// view): the output's row slice is always freshly allocated, so reordering
-// or appending to a result cannot disturb its source. Operators that
+// tuples in and out — and no operator mutates a tuple it did not allocate).
+// Operators may therefore SHARE surviving input tuples in their outputs
+// instead of cloning them — Select, Limit, Distinct and the vectorized
+// kernels do — but must never share the Tuples slice itself (Rename
+// excepted: ρ is explicitly a shallow relabeling view): the output's row
+// slice is always freshly allocated, so reordering or appending to a result
+// cannot disturb its source. Operators that
 // compute new values (Project, GroupBy, joins) allocate fresh tuples as
 // before.
 package ra

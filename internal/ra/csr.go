@@ -46,9 +46,9 @@ import (
 // Times. Both fold in the same
 // order — probe-row order, then each source's main block, then its tail
 // chain — so for float operands their outputs agree bit for bit.
-func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr semiring.Semiring, workers int, gov *govern.Governor, sp *obs.Span) *relation.Relation {
+func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr semiring.Semiring, gov *govern.Governor, sp *obs.Span) *relation.Relation {
 	if sp != nil {
-		defer observeFused(sp, c.Len(), workers)(time.Now())
+		defer observeFused(sp)(time.Now())
 	}
 	sch := schema.Schema{
 		{Name: "ID", Type: a.Sch[csr.DstCol].Type},
@@ -76,9 +76,7 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 			sp.Algo = "fused-csr f64"
 		}
 		tfw, times := csr.TailFloatWeights, sr.Float.Times
-		fg := runMorsels(c.Len(), workers, func(int) *floatGroups {
-			return newFloatGroups(sr.Float.Plus, len(csr.Dst.Keys))
-		}, gov, func(fg *floatGroups, lo, hi int) {
+		fg := runMorsels(c.Len(), newFloatGroups(sr.Float.Plus, len(csr.Dst.Keys)), gov, func(fg *floatGroups, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				s := ords[i]
 				if s < 0 {
@@ -103,7 +101,7 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 		sp.Algo = "fused-csr"
 	}
 	weights, tailWeights := csr.Weights, csr.TailWeights
-	dg := runMorsels(c.Len(), workers, densePartials(sr, len(csr.Dst.Keys)), gov, func(dg *denseGroups, lo, hi int) {
+	dg := runMorsels(c.Len(), newDenseGroups(sr, len(csr.Dst.Keys)), gov, func(dg *denseGroups, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := ords[i]
 			if s < 0 {
@@ -134,18 +132,14 @@ func FusedMVJoinCSR(a, c *relation.Relation, csr *relation.CSR, cc VecCols, sr s
 // match the hash kernel exactly even when a key column mixes Int and Float
 // spellings of the same value; weights come from the CSR's sequential
 // Weights array, which copies the column verbatim. sp is as in FusedMVJoin.
-func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, ac, bc MatCols, aJoin, aKeep, bJoin, bKeep int, sr semiring.Semiring, workers int, gov *govern.Governor, sp *obs.Span) *relation.Relation {
+func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, ac, bc MatCols, aJoin, aKeep, bJoin, bKeep int, sr semiring.Semiring, gov *govern.Governor, sp *obs.Span) *relation.Relation {
 	if sp != nil {
-		probeLen := a.Len()
-		if csrOnLeft {
-			probeLen = b.Len()
-		}
-		defer observeFused(sp, probeLen, workers)(time.Now())
+		defer observeFused(sp)(time.Now())
 	}
 	offsets, rows, weights := csr.Offsets, csr.Rows, csr.Weights
 	var gt *groupTable
 	if csrOnLeft {
-		gt = runMorsels(b.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(b.Len(), newGroupTable(sr, b.Len()), gov, func(gt *groupTable, lo, hi int) {
 			ords := gt.scratchOrds(hi - lo)
 			for i, bt := range b.Tuples[lo:hi] {
 				if ord, ok := csr.SrcOrd(bt[bJoin]); ok && !bt[bJoin].IsNull() {
@@ -174,7 +168,7 @@ func FusedMMJoinCSR(a, b *relation.Relation, csr *relation.CSR, csrOnLeft bool, 
 			}
 		})
 	} else {
-		gt = runMorsels(a.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(a.Len(), newGroupTable(sr, a.Len()), gov, func(gt *groupTable, lo, hi int) {
 			ords := gt.scratchOrds(hi - lo)
 			for i, at := range a.Tuples[lo:hi] {
 				if ord, ok := csr.SrcOrd(at[aJoin]); ok && !at[aJoin].IsNull() {

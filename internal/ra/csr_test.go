@@ -27,24 +27,22 @@ func wantSameBytes(t *testing.T, label string, got, want *relation.Relation) {
 }
 
 // TestFusedMVJoinCSRBytesMatchHash asserts the CSR MV-kernel output is
-// byte-identical to the hash kernel's dense-dict path for every semiring,
-// both join directions, and serial as well as parallel probes.
+// byte-identical to the hash kernel's dense-dict path for every semiring
+// and both join directions.
 func TestFusedMVJoinCSRBytesMatchHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for _, sr := range semiring.All() {
-		for _, workers := range []int{1, 4} {
-			for _, dir := range []struct{ aJoin, aKeep int }{{1, 0}, {0, 1}} {
-				for trial := 0; trial < 4; trial++ {
-					a := randMatrix(rng, 30, 150)
-					c := randVector(rng, 30)
-					idx := relation.BuildHashIndex(a, []int{dir.aJoin})
-					dict := relation.BuildColumnDict(a, dir.aKeep)
-					want := FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), dir.aKeep, sr, workers, nil, nil)
-					csr := relation.BuildCSR(a, dir.aJoin, dir.aKeep, 2)
-					got := FusedMVJoinCSR(a, c, csr, NodeVec(), sr, workers, nil, nil)
-					label := fmt.Sprintf("mv-csr %s workers=%d aJoin=%d trial=%d", sr.Name, workers, dir.aJoin, trial)
-					wantSameBytes(t, label, got, want)
-				}
+		for _, dir := range []struct{ aJoin, aKeep int }{{1, 0}, {0, 1}} {
+			for trial := 0; trial < 4; trial++ {
+				a := randMatrix(rng, 30, 150)
+				c := randVector(rng, 30)
+				idx := relation.BuildHashIndex(a, []int{dir.aJoin})
+				dict := relation.BuildColumnDict(a, dir.aKeep)
+				want := FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), dir.aKeep, sr, nil, nil)
+				csr := relation.BuildCSR(a, dir.aJoin, dir.aKeep, 2)
+				got := FusedMVJoinCSR(a, c, csr, NodeVec(), sr, nil, nil)
+				label := fmt.Sprintf("mv-csr %s aJoin=%d trial=%d", sr.Name, dir.aJoin, trial)
+				wantSameBytes(t, label, got, want)
 			}
 		}
 	}
@@ -55,25 +53,23 @@ func TestFusedMVJoinCSRBytesMatchHash(t *testing.T) {
 func TestFusedMMJoinCSRBytesMatchHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, sr := range semiring.All() {
-		for _, workers := range []int{1, 4} {
-			for _, csrOnLeft := range []bool{false, true} {
-				for trial := 0; trial < 4; trial++ {
-					a := randMatrix(rng, 25, 120)
-					b := randMatrix(rng, 25, 120)
-					var idx *relation.HashIndex
-					var csr *relation.CSR
-					if csrOnLeft {
-						idx = relation.BuildHashIndex(a, []int{1})
-						csr = relation.BuildCSR(a, 1, -1, 2)
-					} else {
-						idx = relation.BuildHashIndex(b, []int{0})
-						csr = relation.BuildCSR(b, 0, -1, 2)
-					}
-					want := FusedMMJoin(a, b, idx, csrOnLeft, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, workers, nil, nil)
-					got := FusedMMJoinCSR(a, b, csr, csrOnLeft, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, workers, nil, nil)
-					label := fmt.Sprintf("mm-csr %s workers=%d csrOnLeft=%v trial=%d", sr.Name, workers, csrOnLeft, trial)
-					wantSameBytes(t, label, got, want)
+		for _, csrOnLeft := range []bool{false, true} {
+			for trial := 0; trial < 4; trial++ {
+				a := randMatrix(rng, 25, 120)
+				b := randMatrix(rng, 25, 120)
+				var idx *relation.HashIndex
+				var csr *relation.CSR
+				if csrOnLeft {
+					idx = relation.BuildHashIndex(a, []int{1})
+					csr = relation.BuildCSR(a, 1, -1, 2)
+				} else {
+					idx = relation.BuildHashIndex(b, []int{0})
+					csr = relation.BuildCSR(b, 0, -1, 2)
 				}
+				want := FusedMMJoin(a, b, idx, csrOnLeft, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil)
+				got := FusedMMJoinCSR(a, b, csr, csrOnLeft, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil)
+				label := fmt.Sprintf("mm-csr %s csrOnLeft=%v trial=%d", sr.Name, csrOnLeft, trial)
+				wantSameBytes(t, label, got, want)
 			}
 		}
 	}
@@ -144,12 +140,12 @@ func TestFusedCSRAfterExtend(t *testing.T) {
 	idx := relation.BuildHashIndex(a, []int{1})
 	dict := relation.BuildColumnDict(a, 0)
 	wantSameBytes(t, "mv after extend",
-		FusedMVJoinCSR(a, c, csrMV, NodeVec(), sr, 1, nil, nil),
-		FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), 0, sr, 1, nil, nil))
+		FusedMVJoinCSR(a, c, csrMV, NodeVec(), sr, nil, nil),
+		FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), 0, sr, nil, nil))
 	b := randMatrix(rng, 25, 100)
 	wantSameBytes(t, "mm after extend",
-		FusedMMJoinCSR(b, a, csrMM, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, 1, nil, nil),
-		FusedMMJoin(b, a, idx, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, 1, nil, nil))
+		FusedMMJoinCSR(b, a, csrMM, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil),
+		FusedMMJoin(b, a, idx, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil))
 }
 
 // benchGraph builds a dense-ID random graph big enough that probe cost
@@ -169,7 +165,7 @@ func BenchmarkFusedMVJoinHash(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), 1, sr, 1, nil, nil)
+		FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), 1, sr, nil, nil)
 	}
 }
 
@@ -180,7 +176,7 @@ func BenchmarkFusedMVJoinCSR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FusedMVJoinCSR(a, c, csr, NodeVec(), sr, 1, nil, nil)
+		FusedMVJoinCSR(a, c, csr, NodeVec(), sr, nil, nil)
 	}
 }
 
@@ -192,7 +188,7 @@ func BenchmarkFusedMMJoinHash(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FusedMMJoin(a, bb, idx, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, 1, nil, nil)
+		FusedMMJoin(a, bb, idx, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil)
 	}
 }
 
@@ -204,7 +200,7 @@ func BenchmarkFusedMMJoinCSR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FusedMMJoinCSR(a, bb, csr, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, 1, nil, nil)
+		FusedMMJoinCSR(a, bb, csr, false, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil)
 	}
 }
 

@@ -127,13 +127,13 @@ func wantSameCells(t *testing.T, label string, got, want *relation.Relation) {
 // laneRun runs FusedMVJoinCSR under a fresh governor with the given row
 // budget and returns the output, the lane its span names, the governor's
 // charged rows, and the error a governor abort raised.
-func laneRun(a, c *relation.Relation, csr *relation.CSR, sr semiring.Semiring, workers int, maxRows int64) (out *relation.Relation, algo string, rows int64, err error) {
+func laneRun(a, c *relation.Relation, csr *relation.CSR, sr semiring.Semiring, maxRows int64) (out *relation.Relation, algo string, rows int64, err error) {
 	gov := govern.New(context.Background(), govern.Limits{MaxRows: maxRows})
 	defer gov.Close()
 	sp := &obs.Span{}
 	func() {
 		defer govern.RecoverTo(&err)
-		out = FusedMVJoinCSR(a, c, csr, NodeVec(), sr, workers, gov, sp)
+		out = FusedMVJoinCSR(a, c, csr, NodeVec(), sr, gov, sp)
 	}()
 	return out, sp.Algo, gov.Rows(), err
 }
@@ -156,8 +156,8 @@ func TestFusedMVJoinCSRFloatLane(t *testing.T) {
 				check := func(stage string) {
 					for name, c := range vecs {
 						label := fmt.Sprintf("%s trial=%d aJoin=%d %s %s", sr.Name, trial, dir.aJoin, stage, name)
-						got, algo, rows, err := laneRun(a, c, csr, sr, 1, 0)
-						want, boxedAlgo, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), 1, 0)
+						got, algo, rows, err := laneRun(a, c, csr, sr, 0)
+						want, boxedAlgo, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), 0)
 						if err != nil || boxedErr != nil {
 							t.Fatalf("%s: %v / %v", label, err, boxedErr)
 						}
@@ -191,54 +191,6 @@ func TestFusedMVJoinCSRFloatLane(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestFusedMVJoinCSRFloatLaneParallel runs the float lane with four
-// workers against one. Group order across workers depends on scheduling,
-// so the comparison is per group key; dyadic weights keep every (+, *)
-// fold exact, so the values must agree bit for bit in any fold order.
-func TestFusedMVJoinCSRFloatLaneParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(302))
-	for _, sr := range floatSemirings() {
-		a := floatMatrix(rng, 900, 5000)
-		for _, tu := range a.Tuples {
-			tu[2] = value.Float(float64(rng.Intn(16)) / 8)
-		}
-		csr := relation.BuildCSR(a, 0, 1, 2)
-		c := floatVector(rng, 900, 100)
-		for _, tu := range c.Tuples {
-			tu[1] = value.Float(float64(rng.Intn(16)) / 4)
-		}
-		serial, _, serialRows, _ := laneRun(a, c, csr, sr, 1, 0)
-		par, algo, parRows, err := laneRun(a, c, csr, sr, 4, 0)
-		if err != nil || algo != "fused-csr f64" {
-			t.Fatalf("%s: parallel run took lane %q: %v", sr.Name, algo, err)
-		}
-		if parRows != serialRows {
-			t.Fatalf("%s: governor rows %d (4 workers) vs %d (1)", sr.Name, parRows, serialRows)
-		}
-		boxedPar, _, _, _ := laneRun(a, c, csr, boxedOnly(sr), 4, 0)
-		want := cellsByKey(serial)
-		for label, got := range map[string]*relation.Relation{"float 4": par, "boxed 4": boxedPar} {
-			m := cellsByKey(got)
-			if len(m) != len(want) || got.Len() != serial.Len() {
-				t.Fatalf("%s %s: %d groups, want %d", sr.Name, label, got.Len(), serial.Len())
-			}
-			for k, v := range want {
-				if !sameValue(m[k], v) {
-					t.Fatalf("%s %s: group %d = %v, want %v", sr.Name, label, k, m[k], v)
-				}
-			}
-		}
-	}
-}
-
-func cellsByKey(r *relation.Relation) map[int64]value.Value {
-	m := make(map[int64]value.Value, r.Len())
-	for _, tu := range r.Tuples {
-		m[tu[0].I] = tu[1]
-	}
-	return m
 }
 
 // TestFusedMVJoinCSRFloatLaneFallback asserts a call the float lane cannot
@@ -281,8 +233,8 @@ func TestFusedMVJoinCSRFloatLaneFallback(t *testing.T) {
 	}
 	for name, mk := range cases {
 		f := mk()
-		got, algo, rows, err := laneRun(f.a, f.c, f.csr, sr, 1, 0)
-		want, _, boxedRows, boxedErr := laneRun(f.a, f.c, f.csr, boxedOnly(sr), 1, 0)
+		got, algo, rows, err := laneRun(f.a, f.c, f.csr, sr, 0)
+		want, _, boxedRows, boxedErr := laneRun(f.a, f.c, f.csr, boxedOnly(sr), 0)
 		if err != nil || boxedErr != nil {
 			t.Fatalf("%s: %v / %v", name, err, boxedErr)
 		}
@@ -296,7 +248,7 @@ func TestFusedMVJoinCSRFloatLaneFallback(t *testing.T) {
 	}
 	// A semiring without a float form never takes the float lane.
 	a, c := floatMatrix(rng, 40, 200), floatVector(rng, 40, 0)
-	if _, algo, _, _ := laneRun(a, c, relation.BuildCSR(a, 0, 1, 2), semiring.OrAnd(), 1, 0); algo != "fused-csr" {
+	if _, algo, _, _ := laneRun(a, c, relation.BuildCSR(a, 0, 1, 2), semiring.OrAnd(), 0); algo != "fused-csr" {
 		t.Errorf("or-and ran lane %q, want fused-csr", algo)
 	}
 }
@@ -315,8 +267,8 @@ func TestFusedMVJoinCSRFloatLaneWidensIntProbe(t *testing.T) {
 			}
 		}
 		csr := relation.BuildCSR(a, 0, 1, 2)
-		got, algo, rows, err := laneRun(a, c, csr, sr, 1, 0)
-		want, _, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), 1, 0)
+		got, algo, rows, err := laneRun(a, c, csr, sr, 0)
+		want, _, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), 0)
 		if err != nil || boxedErr != nil {
 			t.Fatalf("%s: %v / %v", sr.Name, err, boxedErr)
 		}
@@ -342,8 +294,8 @@ func TestFusedMVJoinCSRFloatLaneBudget(t *testing.T) {
 	if limit >= int64(a.Len()) || limit <= probeMorsel {
 		t.Fatalf("fixture: limit %d must sit between one morsel and %d edges", limit, a.Len())
 	}
-	_, _, rows, err := laneRun(a, c, csr, sr, 1, limit)
-	_, _, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), 1, limit)
+	_, _, rows, err := laneRun(a, c, csr, sr, limit)
+	_, _, boxedRows, boxedErr := laneRun(a, c, csr, boxedOnly(sr), limit)
 	var be *govern.BudgetError
 	if !errors.As(err, &be) || be.Resource != "rows" {
 		t.Fatalf("float lane: err %v, want a rows BudgetError", err)
@@ -368,7 +320,7 @@ func BenchmarkFusedMVJoinCSRFloat(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				FusedMVJoinCSR(a, c, csr, NodeVec(), sr, 1, nil, nil)
+				FusedMVJoinCSR(a, c, csr, NodeVec(), sr, nil, nil)
 			}
 		})
 	}

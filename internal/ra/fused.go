@@ -1,8 +1,6 @@
 package ra
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/govern"
@@ -23,15 +21,12 @@ import (
 // discrete semirings (min, max, or), and equal up to float-summation
 // reordering for (+, *).
 //
-// Both kernels accept a worker count for a morsel-parallel probe: the probe
-// side is split into fixed-size morsels claimed off an atomic counter
-// (Leis et al.'s morsel-driven scheduling), each worker folds into a
-// private group table, and the partials merge under ⊕ — valid because ⊕ is
-// commutative and associative with Zero as identity.
+// Every kernel probes serially on the statement goroutine: the governor
+// aborts a statement by panicking (govern.MustStep), and only that
+// goroutine recovers the panic into the statement's error.
 
-// probeMorsel is the number of probe-side tuples a worker claims at a time.
-// Small enough to balance skewed buckets, large enough that the atomic
-// claim is not the bottleneck.
+// probeMorsel is the number of probe-side tuples folded between governor
+// checkpoints.
 const probeMorsel = 256
 
 // groupTable accumulates ⊕-folds keyed by 1- or 2-column group keys, in
@@ -57,9 +52,8 @@ type groupTable struct {
 	// relation.Tuple allocation per new group. Chunks are abandoned (still
 	// referenced by their keys) when full.
 	arena []value.Value
-	// scratch is the per-worker ordinal buffer the CSR kernels batch-encode
-	// a morsel's source IDs into; the table is a per-worker object, so the
-	// buffer is reused across that worker's morsels.
+	// scratch is the ordinal buffer the CSR kernels batch-encode a morsel's
+	// source IDs into, reused across morsels.
 	scratch []int32
 }
 
@@ -84,7 +78,7 @@ func (g *groupTable) internKey(k0, k1 value.Value, wide bool) relation.Tuple {
 	return relation.Tuple(g.arena[at : at+n : at+n])
 }
 
-// scratchOrds returns the worker's ordinal scratch buffer, sized to n.
+// scratchOrds returns the ordinal scratch buffer, sized to n.
 func (g *groupTable) scratchOrds(n int) []int32 {
 	if cap(g.scratch) < n {
 		g.scratch = make([]int32, n)
@@ -166,26 +160,6 @@ func (g *groupTable) fold(k0, k1 value.Value, wide bool, v value.Value) {
 	g.vals[slot] = g.sr.Plus(g.vals[slot], v)
 }
 
-// merge folds another table's groups into g (the ⊕-combine of parallel
-// partials). A group that never started contributes only its existence.
-func (g *groupTable) merge(o *groupTable) {
-	wide := false
-	if len(o.keys) > 0 {
-		wide = len(o.keys[0]) == 2
-	}
-	for i, k := range o.keys {
-		var k1 value.Value
-		if wide {
-			k1 = k[1]
-		}
-		if !o.started[i] {
-			g.fold(k[0], k1, wide, value.Null)
-			continue
-		}
-		g.fold(k[0], k1, wide, o.vals[i])
-	}
-}
-
 // relation emits the groups in first-seen order under the given schema.
 func (g *groupTable) relation(sch schema.Schema) *relation.Relation {
 	out := relation.NewWithCap(sch, len(g.keys))
@@ -239,17 +213,6 @@ func (d *denseGroups) fold(g int32, v value.Value) {
 	d.vals[g] = d.sr.Plus(d.vals[g], v)
 }
 
-// merge folds another partial's live groups into d under ⊕.
-func (d *denseGroups) merge(o *denseGroups) {
-	for _, g := range o.order {
-		if !o.started[g] {
-			d.fold(g, value.Null)
-			continue
-		}
-		d.fold(g, o.vals[g])
-	}
-}
-
 // relation emits the live groups in first-touch order, resolving ordinals
 // back to key values through the dictionary.
 func (d *denseGroups) relation(keys []value.Value, sch schema.Schema) *relation.Relation {
@@ -289,13 +252,6 @@ func (f *floatGroups) fold(g int32, v float64) {
 	f.vals[g] = v
 }
 
-// merge folds another partial's live groups into f under ⊕.
-func (f *floatGroups) merge(o *floatGroups) {
-	for _, g := range o.order {
-		f.fold(g, o.vals[g])
-	}
-}
-
 // relation emits the live groups in first-touch order as value.Float cells,
 // exactly the tuples denseGroups.relation emits for the same folds.
 func (f *floatGroups) relation(keys []value.Value, sch schema.Schema) *relation.Relation {
@@ -309,71 +265,17 @@ func (f *floatGroups) relation(keys []value.Value, sch schema.Schema) *relation.
 	return out
 }
 
-// runMorsels drives the morsel-parallel probe: probe-side rows [0, n) are
-// claimed in fixed-size morsels off an atomic cursor; each worker folds
-// into a private partial (newPartial's argument is its capacity hint) and
-// the partials merge in worker order. The governor is consulted once per
-// morsel: the serial path aborts (recovered at the engine boundary),
-// workers drain and the statement goroutine re-raises via MustOK after the
-// join.
-func runMorsels[P interface{ merge(P) }](n, workers int, newPartial func(capHint int) P, gov *govern.Governor, probe func(p P, lo, hi int)) P {
-	if workers <= 1 || n < 2*workers {
-		p := newPartial(n)
-		for lo := 0; lo < n; lo += probeMorsel {
-			hi := lo + probeMorsel
-			if hi > n {
-				hi = n
-			}
-			gov.MustStep(hi - lo)
-			probe(p, lo, hi)
-		}
-		return p
+// runMorsels folds probe-side rows [0, n) into p in probeMorsel-row
+// morsels and returns p. Each morsel is charged to the governor before probe
+// folds it; a governor stop aborts the statement (recovered at the engine
+// boundary).
+func runMorsels[P any](n int, p P, gov *govern.Governor, probe func(p P, lo, hi int)) P {
+	for lo := 0; lo < n; lo += probeMorsel {
+		hi := min(lo+probeMorsel, n)
+		gov.MustStep(hi - lo)
+		probe(p, lo, hi)
 	}
-	var cursor int64
-	partials := make([]P, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := newPartial(n / workers)
-			for {
-				lo := int(atomic.AddInt64(&cursor, probeMorsel)) - probeMorsel
-				if lo >= n {
-					break
-				}
-				hi := lo + probeMorsel
-				if hi > n {
-					hi = n
-				}
-				// Drain on governor stop; never panic off the statement
-				// goroutine.
-				if gov.Step(hi-lo) != nil {
-					break
-				}
-				probe(p, lo, hi)
-			}
-			partials[w] = p
-		}(w)
-	}
-	wg.Wait()
-	gov.MustOK()
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		acc.merge(p)
-	}
-	return acc
-}
-
-// groupPartials returns runMorsels' constructor for hashed group tables.
-func groupPartials(sr semiring.Semiring) func(int) *groupTable {
-	return func(capHint int) *groupTable { return newGroupTable(sr, capHint) }
-}
-
-// densePartials returns runMorsels' constructor for dictionary-encoded
-// group folds over the given number of groups.
-func densePartials(sr semiring.Semiring, groups int) func(int) *denseGroups {
-	return func(int) *denseGroups { return newDenseGroups(sr, groups) }
+	return p
 }
 
 // FusedMVJoin computes the MV-join aggregate (Eq. (4)) by probing idx — a
@@ -390,11 +292,11 @@ func densePartials(sr semiring.Semiring, groups int) func(int) *denseGroups {
 // accumulate — no group hashing or key comparison per matched edge. A nil
 // or mismatched dict falls back to the hashed group table.
 //
-// sp, when non-nil, receives the kernel's probe wall time, worker count and
-// morsel count; nil skips every clock read.
-func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relation.ColumnDict, ac MatCols, cc VecCols, aKeep int, sr semiring.Semiring, workers int, gov *govern.Governor, sp *obs.Span) *relation.Relation {
+// sp, when non-nil, receives the kernel's probe wall time; nil skips every
+// clock read.
+func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relation.ColumnDict, ac MatCols, cc VecCols, aKeep int, sr semiring.Semiring, gov *govern.Governor, sp *obs.Span) *relation.Relation {
 	if sp != nil {
-		defer observeFused(sp, c.Len(), workers)(time.Now())
+		defer observeFused(sp)(time.Now())
 	}
 	probeCols := []int{cc.ID}
 	sch := schema.Schema{
@@ -403,7 +305,7 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 	}
 	if dict != nil && dict.Col == aKeep && len(dict.Ords) == a.Len() {
 		ords := dict.Ords
-		dg := runMorsels(c.Len(), workers, densePartials(sr, len(dict.Keys)), gov, func(dg *denseGroups, lo, hi int) {
+		dg := runMorsels(c.Len(), newDenseGroups(sr, len(dict.Keys)), gov, func(dg *denseGroups, lo, hi int) {
 			for _, ct := range c.Tuples[lo:hi] {
 				if ct[cc.ID].IsNull() {
 					continue
@@ -417,7 +319,7 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 		})
 		return dg.relation(dict.Keys, sch)
 	}
-	gt := runMorsels(c.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
+	gt := runMorsels(c.Len(), newGroupTable(sr, c.Len()), gov, func(gt *groupTable, lo, hi int) {
 		for _, ct := range c.Tuples[lo:hi] {
 			if ct[cc.ID].IsNull() {
 				continue
@@ -440,18 +342,14 @@ func FusedMVJoin(a, c *relation.Relation, idx *relation.HashIndex, dict *relatio
 // survives across iterations (the analyzed base table). The ⊙-product
 // argument order is a.W ⊙ b.W either way, so non-commutative ⊙ is safe.
 // sp is as in FusedMVJoin.
-func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft bool, ac, bc MatCols, aJoin, aKeep, bJoin, bKeep int, sr semiring.Semiring, workers int, gov *govern.Governor, sp *obs.Span) *relation.Relation {
+func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft bool, ac, bc MatCols, aJoin, aKeep, bJoin, bKeep int, sr semiring.Semiring, gov *govern.Governor, sp *obs.Span) *relation.Relation {
 	if sp != nil {
-		probeLen := a.Len()
-		if idxOnLeft {
-			probeLen = b.Len()
-		}
-		defer observeFused(sp, probeLen, workers)(time.Now())
+		defer observeFused(sp)(time.Now())
 	}
 	var gt *groupTable
 	if idxOnLeft {
 		probeCols := []int{bJoin}
-		gt = runMorsels(b.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(b.Len(), newGroupTable(sr, b.Len()), gov, func(gt *groupTable, lo, hi int) {
 			for _, bt := range b.Tuples[lo:hi] {
 				if bt[bJoin].IsNull() {
 					continue
@@ -465,7 +363,7 @@ func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft boo
 		})
 	} else {
 		probeCols := []int{aJoin}
-		gt = runMorsels(a.Len(), workers, groupPartials(sr), gov, func(gt *groupTable, lo, hi int) {
+		gt = runMorsels(a.Len(), newGroupTable(sr, a.Len()), gov, func(gt *groupTable, lo, hi int) {
 			for _, at := range a.Tuples[lo:hi] {
 				if at[aJoin].IsNull() {
 					continue
@@ -485,17 +383,10 @@ func FusedMMJoin(a, b *relation.Relation, idx *relation.HashIndex, idxOnLeft boo
 	})
 }
 
-// observeFused records a fused kernel's probe shape into sp. It is called
-// only on the observed path (sp != nil): the returned closure is deferred
-// with time.Now() captured at kernel entry, so the unobserved path pays a
-// single nil check and no clock read.
-func observeFused(sp *obs.Span, probeLen, workers int) func(time.Time) {
-	return func(t0 time.Time) {
-		sp.ProbeDur = time.Since(t0)
-		if workers <= 1 {
-			workers = 1
-		}
-		sp.Workers = workers
-		sp.Morsels = int64((probeLen + probeMorsel - 1) / probeMorsel)
-	}
+// observeFused records a fused kernel's probe wall time into sp. It is
+// called only on the observed path (sp != nil): the returned closure is
+// deferred with time.Now() captured at kernel entry, so the unobserved path
+// pays a single nil check and no clock read.
+func observeFused(sp *obs.Span) func(time.Time) {
+	return func(t0 time.Time) { sp.ProbeDur = time.Since(t0) }
 }

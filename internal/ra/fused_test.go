@@ -95,31 +95,29 @@ func wantSameGroups(t *testing.T, label string, got, want *relation.Relation, nK
 
 // TestFusedMVJoinEquivalence is the fused-kernel property test: for random
 // graphs, every built-in semiring, both join directions (A·C and Aᵀ·C),
-// serial as well as morsel-parallel probes, and both fold paths (hashed
-// group table and dictionary-encoded dense fold), the fused MV-join must
-// agree with the materializing EquiJoin+GroupBy plan.
+// and both fold paths (hashed group table and dictionary-encoded dense
+// fold), the fused MV-join must agree with the materializing
+// EquiJoin+GroupBy plan.
 func TestFusedMVJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, sr := range semiring.All() {
-		for _, workers := range []int{1, 4} {
-			for _, withDict := range []bool{false, true} {
-				for _, dir := range []struct{ aJoin, aKeep int }{{1, 0}, {0, 1}} {
-					for trial := 0; trial < 4; trial++ {
-						a := randMatrix(rng, 30, 150)
-						c := randVector(rng, 30)
-						want, err := MVJoin(a, c, EdgeMat(), NodeVec(), dir.aJoin, dir.aKeep, sr, HashJoin)
-						if err != nil {
-							t.Fatal(err)
-						}
-						idx := relation.BuildHashIndex(a, []int{dir.aJoin})
-						var dict *relation.ColumnDict
-						if withDict {
-							dict = relation.BuildColumnDict(a, dir.aKeep)
-						}
-						got := FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), dir.aKeep, sr, workers, nil, nil)
-						label := fmt.Sprintf("mv %s workers=%d dict=%v aJoin=%d trial=%d", sr.Name, workers, withDict, dir.aJoin, trial)
-						wantSameGroups(t, label, got, want, 1)
+		for _, withDict := range []bool{false, true} {
+			for _, dir := range []struct{ aJoin, aKeep int }{{1, 0}, {0, 1}} {
+				for trial := 0; trial < 4; trial++ {
+					a := randMatrix(rng, 30, 150)
+					c := randVector(rng, 30)
+					want, err := MVJoin(a, c, EdgeMat(), NodeVec(), dir.aJoin, dir.aKeep, sr, HashJoin)
+					if err != nil {
+						t.Fatal(err)
 					}
+					idx := relation.BuildHashIndex(a, []int{dir.aJoin})
+					var dict *relation.ColumnDict
+					if withDict {
+						dict = relation.BuildColumnDict(a, dir.aKeep)
+					}
+					got := FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), dir.aKeep, sr, nil, nil)
+					label := fmt.Sprintf("mv %s dict=%v aJoin=%d trial=%d", sr.Name, withDict, dir.aJoin, trial)
+					wantSameGroups(t, label, got, want, 1)
 				}
 			}
 		}
@@ -131,26 +129,24 @@ func TestFusedMVJoinEquivalence(t *testing.T) {
 func TestFusedMMJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for _, sr := range semiring.All() {
-		for _, workers := range []int{1, 4} {
-			for _, idxOnLeft := range []bool{false, true} {
-				for trial := 0; trial < 4; trial++ {
-					a := randMatrix(rng, 25, 120)
-					b := randMatrix(rng, 25, 120)
-					// Textbook A·B: join a.T = b.F, keep (a.F, b.T).
-					want, err := MMJoin(a, b, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, HashJoin)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var idx *relation.HashIndex
-					if idxOnLeft {
-						idx = relation.BuildHashIndex(a, []int{1})
-					} else {
-						idx = relation.BuildHashIndex(b, []int{0})
-					}
-					got := FusedMMJoin(a, b, idx, idxOnLeft, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, workers, nil, nil)
-					label := fmt.Sprintf("mm %s workers=%d idxOnLeft=%v trial=%d", sr.Name, workers, idxOnLeft, trial)
-					wantSameGroups(t, label, got, want, 2)
+		for _, idxOnLeft := range []bool{false, true} {
+			for trial := 0; trial < 4; trial++ {
+				a := randMatrix(rng, 25, 120)
+				b := randMatrix(rng, 25, 120)
+				// Textbook A·B: join a.T = b.F, keep (a.F, b.T).
+				want, err := MMJoin(a, b, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, HashJoin)
+				if err != nil {
+					t.Fatal(err)
 				}
+				var idx *relation.HashIndex
+				if idxOnLeft {
+					idx = relation.BuildHashIndex(a, []int{1})
+				} else {
+					idx = relation.BuildHashIndex(b, []int{0})
+				}
+				got := FusedMMJoin(a, b, idx, idxOnLeft, EdgeMat(), EdgeMat(), 1, 0, 0, 1, sr, nil, nil)
+				label := fmt.Sprintf("mm %s idxOnLeft=%v trial=%d", sr.Name, idxOnLeft, trial)
+				wantSameGroups(t, label, got, want, 2)
 			}
 		}
 	}
@@ -180,7 +176,7 @@ func TestFusedNullProductStillCreatesGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dict := range []*relation.ColumnDict{nil, relation.BuildColumnDict(a, 0)} {
-		got := FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), 0, sr, 1, nil, nil)
+		got := FusedMVJoin(a, c, idx, dict, EdgeMat(), NodeVec(), 0, sr, nil, nil)
 		wantSameGroups(t, fmt.Sprintf("null-product dict=%v", dict != nil), got, want, 1)
 		m := groupsByKey(got, 1)
 		if v, ok := m["1|"]; !ok || !v.Equal(sr.Zero) {
@@ -198,8 +194,8 @@ func TestFusedMVJoinHonorsCachedIndexOnly(t *testing.T) {
 	a := randMatrix(rand.New(rand.NewSource(83)), 10, 40)
 	c := randVector(rand.New(rand.NewSource(84)), 10)
 	idx := relation.BuildHashIndex(a, []int{1})
-	before := FusedMVJoin(a, c, idx, nil, EdgeMat(), NodeVec(), 0, sr, 1, nil, nil)
+	before := FusedMVJoin(a, c, idx, nil, EdgeMat(), NodeVec(), 0, sr, nil, nil)
 	a.Append(relation.Tuple{value.Int(0), value.Int(0), value.Float(100)})
-	after := FusedMVJoin(a, c, idx, nil, EdgeMat(), NodeVec(), 0, sr, 1, nil, nil)
+	after := FusedMVJoin(a, c, idx, nil, EdgeMat(), NodeVec(), 0, sr, nil, nil)
 	wantSameGroups(t, "stale-index probe", after, before, 1)
 }

@@ -64,9 +64,8 @@ type EquiJoinSpec struct {
 
 	// Gov, when set, makes the probe loops cooperative: each probe-side
 	// tuple ticks the governor, so cancellation, deadlines, and row budgets
-	// surface mid-join instead of only between operators. Serial loops
-	// abort via govern.Abort (recovered at the engine boundary); parallel
-	// workers poll and drain cleanly.
+	// surface mid-join instead of only between operators. The loops abort
+	// via govern.Abort, recovered at the engine boundary.
 	Gov *govern.Governor
 
 	// Keep, when non-nil, narrows the output to these columns of

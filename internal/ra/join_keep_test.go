@@ -57,10 +57,9 @@ func cellsOf(r *relation.Relation, sorted bool) string {
 }
 
 // TestJoinKeepMatchesProjectCols: every join kernel — nested loop, hash
-// (fresh and over a cached index), the CSR join, sort-merge, index-merge and
-// the parallel hash join — emits with Keep exactly ProjectCols of its full
-// output: the same schema and, but for the parallel join's chunk order, the
-// same tuples in the same order, cell for cell.
+// (fresh and over a cached index), the CSR join, sort-merge and index-merge
+// — emits with Keep exactly ProjectCols of its full output: the same schema
+// and the same tuples in the same order, cell for cell.
 func TestJoinKeepMatchesProjectCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	keeps := [][]int{{}, {0}, {5}, {1, 4}, {3, 2}, {0, 2, 3, 5}, {0, 1, 2, 3, 4, 5}}
@@ -76,28 +75,17 @@ func TestJoinKeepMatchesProjectCols(t *testing.T) {
 			"index-merge": {Algo: IndexMergeJoin, LeftIdx: relation.BuildSortedIndex(r, lc), RightIdx: relation.BuildSortedIndex(s, rc)},
 		}
 		for name, spec := range specs {
-			for _, parallel := range []bool{false, true} {
-				if parallel && spec.Algo != HashJoin {
-					continue
+			spec.LeftCols, spec.RightCols = lc, rc
+			full := EquiJoin(r, s, spec)
+			for _, keep := range keeps {
+				spec.Keep = keep
+				got, want := EquiJoin(r, s, spec), ProjectCols(full, keep)
+				label := fmt.Sprintf("trial %d %s keep %v", trial, name, keep)
+				if !got.Sch.Equal(want.Sch) || fmt.Sprint(got.Sch) != fmt.Sprint(want.Sch) {
+					t.Fatalf("%s: schema %v, want %v", label, got.Sch, want.Sch)
 				}
-				spec.LeftCols, spec.RightCols = lc, rc
-				run := func(spec EquiJoinSpec) *relation.Relation {
-					if parallel {
-						return EquiJoinParallel(r, s, spec, 3)
-					}
-					return EquiJoin(r, s, spec)
-				}
-				full := run(spec)
-				for _, keep := range keeps {
-					spec.Keep = keep
-					got, want := run(spec), ProjectCols(full, keep)
-					label := fmt.Sprintf("trial %d %s parallel=%v keep %v", trial, name, parallel, keep)
-					if !got.Sch.Equal(want.Sch) || fmt.Sprint(got.Sch) != fmt.Sprint(want.Sch) {
-						t.Fatalf("%s: schema %v, want %v", label, got.Sch, want.Sch)
-					}
-					if g, w := cellsOf(got, parallel), cellsOf(want, parallel); g != w {
-						t.Fatalf("%s:\n%s\nwant\n%s", label, g, w)
-					}
+				if g, w := cellsOf(got, false), cellsOf(want, false); g != w {
+					t.Fatalf("%s:\n%s\nwant\n%s", label, g, w)
 				}
 			}
 		}

@@ -28,7 +28,7 @@ func (transientFault) Is(target error) bool {
 // global operation counter, so "inject at operation index k" means the k-th
 // storage operation anywhere in the engine — the knob the chaos sweep
 // turns. The zero plan injects nothing and just counts. Counters are
-// atomics; morsel-parallel statements may tick concurrently.
+// atomics; concurrent statements may tick them at once.
 type FaultPlan struct {
 	// FailAt injects one fault at exactly the FailAt-th operation
 	// (1-based). 0 disables.

@@ -2,8 +2,8 @@
 # check.sh — the repo's fast verification gate:
 #   go vet over everything, the full test suite (the benchmark's nested
 #   module included, plus short runs of the benchmark's point, ingest and
-#   analytics workloads), a race-detector pass over the packages with
-#   parallel or concurrently-observed executor paths (ra, engine, graphsql),
+#   analytics workloads), a race-detector pass over the packages
+#   concurrent sessions share (ra, engine, graphsql and their neighbours),
 #   one smoke step per optimization (its differentials at a larger bound),
 #   and the chaos and bench gates.
 set -eu
@@ -26,7 +26,7 @@ bash benchmark/run.sh -workload ingest -seconds 6 > /dev/null
 # join); its brute-force triangle oracle checks the folded count end to end.
 bash benchmark/run.sh -workload analytics -seconds 6 > /dev/null
 
-echo "== go test -race (parallel executor + concurrent-session packages)"
+echo "== go test -race (packages concurrent sessions share)"
 go test -race ./internal/relation/... ./internal/ra/... ./internal/engine/... \
     ./internal/catalog/... ./internal/withplus/... ./internal/server/... \
     ./internal/sql/... ./graphsql ./graphsql/client
